@@ -4,7 +4,7 @@
 // plus the linear-vs-sigmoid drop-curve alternative mentioned in §IV-A.
 #include <cstdio>
 
-#include "cadet/penalty.h"
+#include "cadet/economics.h"
 #include "testbed/experiments.h"
 
 int main() {
@@ -51,8 +51,8 @@ int main() {
   }
 
   std::printf("\n--- Drop-curve comparison (drop%% at a given penalty) ---\n\n");
-  PenaltyTable linear_table{PenaltyConfig{}};
-  PenaltyTable sigmoid_table{sigmoid};
+  const ClientEconomics linear_table{PenaltyConfig{}};
+  const ClientEconomics sigmoid_table{sigmoid};
   std::printf("%-10s %10s %10s\n", "penalty", "linear", "sigmoid");
   for (double p = 5.0; p <= 40.0; p += 5.0) {
     std::printf("%-10.0f %9.1f%% %9.1f%%\n", p,

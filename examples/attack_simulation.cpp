@@ -48,11 +48,11 @@ static void randomness_degradation() {
   EdgeNode& edge = world.edge(0);
   int blacklisted = 0;
   for (std::size_t i = 4; i < 8; ++i) {
-    if (edge.penalty().is_blacklisted(client_id(i))) ++blacklisted;
+    if (edge.economics().is_blacklisted(client_id(i))) ++blacklisted;
   }
   std::printf("bots blacklisted: %d/4  (honest delinquent: %s)\n",
               blacklisted,
-              edge.penalty().is_delinquent(client_id(0)) ? "yes" : "no");
+              edge.economics().is_delinquent(client_id(0)) ? "yes" : "no");
   std::printf("edge rejected %llu uploads by sanity check, ignored %llu by "
               "penalty\n",
               static_cast<unsigned long long>(
@@ -102,7 +102,7 @@ static void service_degradation() {
   std::printf("attacker:                      mean %.3f s (p95 %.3f s)\n",
               attacker_rt.mean(), attacker_rt.quantile(0.95));
   std::printf("attacker flagged heavy: %s; heavy-reserve rejections: %llu\n\n",
-              world.edge(0).usage().is_heavy(client_id(7)) ? "yes" : "no",
+              world.edge(0).economics().is_heavy(client_id(7)) ? "yes" : "no",
               static_cast<unsigned long long>(
                   world.edge(0).stats().heavy_rejections));
 }

@@ -4,20 +4,16 @@
 // handles — kilobytes per client once the allocator has its say) is the
 // right model for protocol-fidelity experiments at testbed scale, but it is
 // two orders of magnitude too fat for the ROADMAP's "millions of users".
-// ClientEngine keeps one client's entire hot state in ~48 bytes spread
-// across packed parallel arrays — RNG stream, pool cursor, usage/penalty
-// scores, one pending-request slot with its issue timestamp — plus a
-// 32-byte arena slot of cold key material, all in a handful of
-// allocations for the whole population. The
-// engine owns no behaviour: the sharded testbed (testbed/scale.h) drives it
-// from simulator events, so the same state supports honest, flooding, and
-// bad-uploader roles via the flag byte.
-//
-// Economics semantics mirror the full protocol engines (usage.h, penalty.h,
-// config.h): EWMA usage with decay kUsageDecay, lazily applied — scores
-// decay by pow(decay, steps-since-last-touch) on access instead of an
-// O(population) sweep per packet — and a robust median + 1.4826 * MAD
-// heavy threshold with the kUsageHeavyMedianRatio relative floor.
+// ClientEngine keeps one client's entire hot state in ~26 bytes spread
+// across packed parallel arrays — RNG stream, pool cursor, one
+// pending-request slot with its issue timestamp — plus a 32-byte arena
+// slot of cold key material, all in a handful of allocations for the whole
+// population. The engine owns no behaviour: the sharded testbed
+// (testbed/scale.h) drives it from simulator events, so the same state
+// supports honest, flooding, and bad-uploader roles via the flag byte.
+// The edge's view of each client (usage, strikes, penalty) lives in the
+// shard's ClientEconomics table (cadet/economics.h), the same table the
+// full protocol engines police with.
 #pragma once
 
 #include <cmath>
@@ -27,19 +23,18 @@
 #include <vector>
 
 #include "cadet/config.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace cadet {
 
 class ClientEngine {
  public:
-  /// Role and policing flags; packed into one byte per client.
+  /// Role flags; packed into one byte per client.
   enum Flag : std::uint8_t {
     kProducer = 1u << 0,     ///< uploads entropy as well as requesting
     kBadUploader = 1u << 1,  ///< uploads fail the sanity battery
     kFlooder = 1u << 2,      ///< hostile request rate, ignores local pool
-    kHeavy = 1u << 3,        ///< flagged by the last heavy-user scan
-    kBlacklisted = 1u << 4,  ///< penalty reached kMaxPenalty
   };
 
   struct Config {
@@ -48,7 +43,6 @@ class ClientEngine {
     std::uint32_t count = 0;
     std::uint32_t pool_capacity_bits =
         static_cast<std::uint32_t>(kClientBufferBits);
-    double usage_decay = kUsageDecay;
   };
 
   explicit ClientEngine(const Config& config);
@@ -73,12 +67,7 @@ class ClientEngine {
   /// Each client owns an 8-byte SplitMix64 stream — enough randomness for
   /// arrival processes, and the whole population's generators fit in one
   /// vector instead of a Csprng apiece.
-  std::uint64_t next_u64(std::uint32_t i) noexcept {
-    std::uint64_t z = (rng_[i] += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next_u64(std::uint32_t i) noexcept { return rng_[i].next(); }
   double uniform01(std::uint32_t i) noexcept {
     return static_cast<double>(next_u64(i) >> 11) * 0x1.0p-53;
   }
@@ -142,51 +131,6 @@ class ClientEngine {
   /// Denied / expired: clear the slot without credit.
   void cancel_request(std::uint32_t i) noexcept { pending_bits_[i] = 0; }
 
-  // ------------------------------------------------------- edge economics
-  /// Lazily decay client i's usage score to `step`, add `add`, return the
-  /// new score. `step` is the edge's per-request counter, so decay cost is
-  /// O(1) per touched client instead of O(population) per packet.
-  float usage_touch(std::uint32_t i, std::uint32_t step, float add) noexcept {
-    const float score = usage_score(i, step) + add;
-    usage_[i] = score;
-    usage_step_[i] = step;
-    return score;
-  }
-  float usage_score(std::uint32_t i, std::uint32_t step) const noexcept {
-    const std::uint32_t lag = step - usage_step_[i];
-    if (lag == 0) return usage_[i];
-    return usage_[i] *
-           static_cast<float>(std::pow(usage_decay_, static_cast<double>(lag)));
-  }
-
-  /// Add penalty points (negative redeems); clamped to [0, kMaxPenalty].
-  /// Sets kBlacklisted at the ceiling and returns the new score.
-  float penalty_add(std::uint32_t i, float points) noexcept {
-    float score = penalty_[i] + points;
-    if (score < 0.0F) score = 0.0F;
-    if (score >= static_cast<float>(kMaxPenalty)) {
-      score = static_cast<float>(kMaxPenalty);
-      flags_[i] |= kBlacklisted;
-    }
-    penalty_[i] = score;
-    return score;
-  }
-  float penalty_score(std::uint32_t i) const noexcept { return penalty_[i]; }
-
-  /// Robust heavy-user scan over the whole population: threshold is
-  /// median + sigma_k * 1.4826 * MAD, floored by median * median_ratio and
-  /// by `abs_floor` (the §III-C relative-floor semantics from usage.h).
-  /// Sets/clears the kHeavy flag per client and returns the summary.
-  /// `scratch` is caller-owned workspace, reused across scans.
-  struct HeavyScan {
-    float median = 0.0F;
-    float threshold = 0.0F;
-    std::uint32_t heavy = 0;
-  };
-  HeavyScan heavy_scan(std::uint32_t step, double sigma_k,
-                       double median_ratio, float abs_floor,
-                       std::vector<float>& scratch) noexcept;
-
   /// Cold per-client state: 32 bytes of derived key/token material in one
   /// arena allocation (at scale, derivation at construction stands in for
   /// the registration handshake; the sharded harness documents that).
@@ -202,13 +146,9 @@ class ClientEngine {
   std::uint32_t first_id_ = 0;
   std::uint32_t count_ = 0;
   std::uint32_t pool_capacity_ = 0;
-  double usage_decay_ = kUsageDecay;
 
-  std::vector<std::uint64_t> rng_;
+  std::vector<util::SplitMix64> rng_;
   std::vector<std::uint32_t> pool_bits_;
-  std::vector<float> usage_;
-  std::vector<std::uint32_t> usage_step_;
-  std::vector<float> penalty_;
   std::vector<std::uint16_t> pending_bits_;  // 0 = no request in flight
   std::vector<std::uint16_t> pending_id_;
   std::vector<util::SimTime> pending_since_;

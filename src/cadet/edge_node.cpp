@@ -18,7 +18,7 @@ EdgeNode::EdgeNode(const Config& config)
       csprng_(config.seed ^ 0xed6eed6eed6eULL),
       rng_(config.seed ^ 0x1234abcdULL),
       cache_(config.num_clients),
-      penalty_(config.penalty),
+      econ_(config.penalty),
       sanity_(config.sanity_alpha) {
   if (config.metrics != nullptr) {
     metrics_ = config.metrics;
@@ -179,7 +179,7 @@ std::vector<net::Outgoing> EdgeNode::on_packet(net::NodeId from,
     return {};
   }
   if (from == config_.server) {
-    usage_.tick();
+    econ_.tick();
     return handle_server_data(*packet, now);
   }
   if (packet->header.req) {
@@ -211,7 +211,8 @@ std::vector<net::Outgoing> EdgeNode::handle_client_upload(
 
   // (2) penalty gate: delinquent devices are randomly ignored; the device
   // cannot tell whether a given packet was scored, so it must play fair.
-  if (penalty_.should_drop(client, rng_)) {
+  const ClientEconomics::Slot slot = econ_.slot(client);
+  if (econ_.should_drop(slot, rng_)) {
     ctr_.uploads_dropped_penalty->inc();
     obs::span_event(now, "penalty_drop", "edge", config_.id, up,
                     {{"client", static_cast<double>(client)}});
@@ -227,7 +228,7 @@ std::vector<net::Outgoing> EdgeNode::handle_client_upload(
     const auto outcome = sanity_.check(client, packet.payload);
     checks_passed = outcome.checks_passed;
     accepted = outcome.accepted;
-    penalty_.record_result(client, checks_passed);
+    econ_.record_result(slot, checks_passed);
   }
   if (!accepted) {
     ctr_.uploads_rejected_sanity->inc();
@@ -241,7 +242,7 @@ std::vector<net::Outgoing> EdgeNode::handle_client_upload(
   // locally harvested timing jitter (SVI-D3). Only now — past the penalty
   // and sanity gates — does the packet advance the usage clock (see
   // on_packet: gated packets must not drive cohort decay).
-  usage_.tick();
+  econ_.tick();
   ctr_.uploads_accepted->inc();
   buffer_contributors_.insert(client);
   util::append(upload_buffer_, packet.payload);
@@ -276,19 +277,6 @@ std::vector<net::Outgoing> EdgeNode::handle_client_upload(
   return out;
 }
 
-bool EdgeNode::sustained_fast(net::NodeId client) const {
-  const auto it = request_arrivals_.find(client);
-  if (it == request_arrivals_.end() ||
-      it->second.size() < kUsageHeavyDenyWindow) {
-    return false;  // too little history to establish a rate
-  }
-  const util::SimTime span = it->second.back() - it->second.front();
-  if (span <= 0) return true;  // whole window in one instant: a burst
-  const double rate_hz = static_cast<double>(kUsageHeavyDenyWindow - 1) /
-                         util::to_seconds(span);
-  return rate_hz >= kUsageHeavyDenyMinRateHz;
-}
-
 std::vector<net::Outgoing> EdgeNode::handle_client_request(
     net::NodeId client, const Packet& packet, util::SimTime now) {
   // Adopt the client's request root via the wire seq: the serve decision
@@ -319,61 +307,28 @@ std::vector<net::Outgoing> EdgeNode::handle_client_request(
   // (adversary harness, cache-inflation mix). The strike window keeps an
   // honest Poisson double-fire (which can cross the line for a packet or
   // two) from paying the full retry-and-fallback price, while a flooding
-  // attacker reaches the limit within a second.
-  //
-  // A DENIED packet dies at the gate and does NOT advance the usage
-  // clock (no record, no decay step). Eq. 1's per-packet decay is itself
-  // attackable: a flood of scored packets compresses every honest score
-  // toward zero, the robust threshold follows the compressed cohort, and
-  // honest double-fires start crossing it — the flood would recruit the
-  // defense against the honest population. Gated packets are "not
-  // processed", so the attacker's own score stays frozen above the line
-  // while the flood lasts, and only decays at the edge's organic packet
-  // rate once it stops.
-  const auto gate_deny = [&](int strikes) -> std::vector<net::Outgoing> {
+  // attacker reaches the limit within a second. Denial also needs the
+  // absolute rate floor (kUsageHeavyDenyMinRateHz in config.h), and a
+  // denied packet does NOT advance the usage clock (see
+  // ClientEconomics::request).
+  const ClientEconomics::Verdict verdict =
+      econ_.request(econ_.slot(client), static_cast<double>(bytes), now,
+                    /*refresh=*/true, config_.heavy_denial_enabled);
+  const bool over = verdict.over;
+  if (verdict.deny) {
+    // Denied from this packet on. The e2e path is gated too: it draws on
+    // the server pool directly.
     ctr_.heavy_rejections->inc();
     ++heavy_denied_[client];
     obs::span_event(now, "heavy_deny", "edge", config_.id, root,
                     {{"client", static_cast<double>(client)},
                      {"bytes", static_cast<double>(bytes)},
-                     {"strikes", static_cast<double>(strikes)}});
+                     {"strikes", static_cast<double>(verdict.strikes)}});
     return maybe_refill(0, now);
-  };
-  // Arrival-rate window: every request that reaches this gate (served,
-  // blocked, or denied) is an observed arrival. Denial requires the
-  // absolute rate floor in addition to the relative strike signal — see
-  // kUsageHeavyDenyMinRateHz in config.h.
-  {
-    auto& arrivals = request_arrivals_[client];
-    arrivals.push_back(now);
-    if (arrivals.size() > kUsageHeavyDenyWindow) arrivals.pop_front();
   }
-  if (config_.heavy_denial_enabled) {
-    const auto struck = heavy_strikes_.find(client);
-    if (struck != heavy_strikes_.end() &&
-        struck->second >= kUsageHeavyStrikeLimit && usage_.is_heavy(client) &&
-        sustained_fast(client)) {
-      return gate_deny(struck->second);
-    }
-  }
-
-  usage_.record(client, static_cast<double>(bytes));
-  const bool over = usage_.is_heavy(client);
-  int strikes = 0;
-  if (over) {
-    strikes = ++heavy_strikes_[client];
-  } else {
-    heavy_strikes_.erase(client);
-    // Over-line asks are excluded from the demand estimator, or phantom
-    // demand would size every refill.
-    note_demand(bytes, now);
-  }
-  if (config_.heavy_denial_enabled && over &&
-      strikes >= kUsageHeavyStrikeLimit && sustained_fast(client)) {
-    // Crossed the limit at flooding rate — denied from this packet on.
-    // The e2e path is gated too: it draws on the server pool directly.
-    return gate_deny(strikes);
-  }
+  // Over-line asks are excluded from the demand estimator, or phantom
+  // demand would size every refill.
+  if (!over) note_demand(bytes, now);
 
   if (packet.header.end_to_end) {
     // Untrusted-edge mode: the cache holds plaintext this edge could read,

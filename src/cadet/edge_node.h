@@ -3,8 +3,9 @@
 // The edge is the LAN gateway: it aggregates client uploads into bulk
 // transfers (slashing server load ~98 %, Fig. 10a), answers most entropy
 // requests from a local cache, polices uploads with sanity checks + the
-// penalty table, tracks per-client EWMA usage to shield a reserve cache
-// partition from heavy users, and brokers client reregistration.
+// penalty scores, tracks per-client EWMA usage to shield a reserve cache
+// partition from heavy users (both in one ClientEconomics table), and
+// brokers client reregistration.
 #pragma once
 
 #include <array>
@@ -22,11 +23,10 @@
 #include "cadet/cache.h"
 #include "cadet/dedup.h"
 #include "cadet/node_common.h"
+#include "cadet/economics.h"
 #include "cadet/packet.h"
-#include "cadet/penalty.h"
 #include "cadet/provenance.h"
 #include "cadet/registration.h"
-#include "cadet/usage.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -106,14 +106,15 @@ class EdgeNode {
   bool registered() const noexcept { return esk_.has_value(); }
   EdgeCache& cache() noexcept { return cache_; }
   const EdgeCache& cache() const noexcept { return cache_; }
-  UsageTracker& usage() noexcept { return usage_; }
-  PenaltyTable& penalty() noexcept { return penalty_; }
+  /// Per-client usage, strikes, arrivals and penalties, keyed by client id.
+  ClientEconomics& economics() noexcept { return econ_; }
+  const ClientEconomics& economics() const noexcept { return econ_; }
   CostMeter& cost() noexcept { return cost_; }
   /// Requests queued awaiting a refill (heavy users are never queued).
   std::size_t pending_requests() const noexcept { return pending_.size(); }
   /// Requests from this client refused outright after sustained heavy
-  /// usage (strike escalation). Unlike UsageTracker::is_heavy — which is
-  /// an instantaneous, intentionally noisy flag — this counts actual
+  /// usage (strike escalation). Unlike ClientEconomics::is_heavy — an
+  /// instantaneous, intentionally noisy flag — this counts actual
   /// enforcement decisions and never resets, so it is the right signal
   /// for "was this client ever policed as heavy".
   std::uint64_t heavy_denials(net::NodeId client) const noexcept {
@@ -179,8 +180,7 @@ class EdgeNode {
   crypto::Csprng csprng_;
   util::Xoshiro256 rng_;
   EdgeCache cache_;
-  UsageTracker usage_;
-  PenaltyTable penalty_;
+  ClientEconomics econ_;
   SanityChecker sanity_;
   CostMeter cost_;
   ReplayFilter replay_;
@@ -238,19 +238,8 @@ class EdgeNode {
     obs::SpanContext ctx;  // client request root (for delivery records)
   };
   std::deque<PendingRequest> pending_;
-  /// Consecutive requests judged over the heavy line, per client. While a
-  /// client is under kUsageHeavyStrikeLimit it is only reserve-blocked;
-  /// at the limit its requests are denied outright (see
-  /// handle_client_request). Ordered map: cadet-lint unordered-iteration.
-  std::map<net::NodeId, int> heavy_strikes_;
   /// Total outright denials per client (monotone; see heavy_denials()).
   std::map<net::NodeId, std::uint64_t> heavy_denied_;
-  /// Last kUsageHeavyDenyWindow request-arrival times per client, the
-  /// absolute rate signal gating full denial (see config.h).
-  std::map<net::NodeId, std::deque<util::SimTime>> request_arrivals_;
-  /// True when the client's recent arrivals establish a sustained rate at
-  /// or above kUsageHeavyDenyMinRateHz (a zero-span burst counts as fast).
-  bool sustained_fast(net::NodeId client) const;
   /// Cache lineage: one batch id per refill insert, debited on every take.
   ProvenanceLedger prov_;
   std::uint64_t refill_batch_ = 0;

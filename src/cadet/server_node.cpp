@@ -17,7 +17,7 @@ ServerNode::ServerNode(const Config& config)
       rng_(config.seed ^ 0x9876fedcULL),
       pool_(config.pool_capacity_bytes),
       mixer_(pool_),
-      penalty_(config.penalty),
+      econ_(config.penalty),
       sanity_(config.sanity_alpha) {
   if (config.metrics != nullptr) {
     metrics_ = config.metrics;
@@ -198,14 +198,15 @@ std::vector<net::Outgoing> ServerNode::handle_data(net::NodeId from,
   obs::span_event(now, "upload_rx", "server", config_.id, root,
                   {{"from", static_cast<double>(from)},
                    {"bytes", static_cast<double>(packet.payload.size())}});
-  if (penalty_.should_drop(from, rng_)) {
+  const ClientEconomics::Slot slot = econ_.slot(from);
+  if (econ_.should_drop(slot, rng_)) {
     ctr_.uploads_dropped_penalty->inc();
     return {};
   }
   if (config_.sanity_checks_enabled) {
     cost_.add(cost::kSanityPerByte * static_cast<double>(packet.payload.size()));
     const auto outcome = sanity_.check(from, packet.payload);
-    penalty_.record_result(from, outcome.checks_passed);
+    econ_.record_result(slot, outcome.checks_passed);
     if (!outcome.accepted) {
       ctr_.uploads_rejected_sanity->inc();
       return {};

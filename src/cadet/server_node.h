@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "cadet/dedup.h"
+#include "cadet/economics.h"
 #include "cadet/node_common.h"
 #include "cadet/packet.h"
-#include "cadet/penalty.h"
 #include "cadet/provenance.h"
 #include "cadet/registration.h"
 #include "entropy/yarrow.h"
@@ -76,7 +76,9 @@ class ServerNode {
   entropy::ServerEntropyPool& pool() noexcept { return pool_; }
   const entropy::ServerEntropyPool& pool() const noexcept { return pool_; }
   entropy::YarrowMixer& mixer() noexcept { return mixer_; }
-  PenaltyTable& penalty() noexcept { return penalty_; }
+  /// Upload penalties per uploading peer (edge or direct client).
+  ClientEconomics& economics() noexcept { return econ_; }
+  const ClientEconomics& economics() const noexcept { return econ_; }
   CostMeter& cost() noexcept { return cost_; }
   bool edge_registered(net::NodeId edge) const {
     return edge_keys_.contains(edge);
@@ -124,7 +126,7 @@ class ServerNode {
   util::Xoshiro256 rng_;
   entropy::ServerEntropyPool pool_;
   entropy::YarrowMixer mixer_;
-  PenaltyTable penalty_;
+  ClientEconomics econ_;
   SanityChecker sanity_;
   nist::QualityBattery quality_;
   CostMeter cost_;

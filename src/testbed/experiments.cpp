@@ -247,9 +247,9 @@ UsageTraceResult usage_score_trace(double duration_s, std::uint64_t seed) {
       UsageTraceResult::Point point;
       point.t_s = t;
       for (std::size_t i = 0; i < 8; ++i) {
-        point.scores.push_back(edge.usage().score(client_id(i)));
+        point.scores.push_back(edge.economics().score(client_id(i)));
       }
-      point.threshold = edge.usage().heavy_threshold();
+      point.threshold = edge.economics().heavy_line().threshold;
       out.trace.push_back(std::move(point));
     });
   }
@@ -410,11 +410,11 @@ std::vector<PenaltyTraceResult> penalty_trace(
       (void)edge.on_packet(client, encode(Packet::data_upload(
                                        std::move(payload), false)),
                            t);
-      const double score = edge.penalty().score(client);
+      const double score = edge.economics().penalty(client);
       trace.trace.emplace_back(static_cast<double>(u), score);
       trace.max_penalty = std::max(trace.max_penalty, score);
-      if (score >= edge.penalty().config().drop_thresh) ++above;
-      if (edge.penalty().is_blacklisted(client)) trace.blacklisted = true;
+      if (score >= edge.economics().penalty_config().drop_thresh) ++above;
+      if (edge.economics().is_blacklisted(client)) trace.blacklisted = true;
     }
     trace.time_above_thresh_frac =
         static_cast<double>(above) / static_cast<double>(uploads);

@@ -1,9 +1,11 @@
 #include "testbed/scale.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <stdexcept>
 #include <string>
+
+#include "nist/battery.h"
 
 namespace cadet::testbed {
 namespace {
@@ -24,17 +26,11 @@ constexpr util::SimTime kBoundaryJitterNs = 2 * util::kMillisecond;
 constexpr util::SimTime kRequestTimeoutNs = 1'500 * util::kMillisecond;
 constexpr std::uint8_t kMaxScaleRetries = 2;
 
-// Heavy-user scans sweep each edge's population with the robust
-// median + MAD threshold every couple of seconds (the per-request lazy
-// decay keeps packet processing O(1); the scan is the amortized sweep).
+// Heavy-user scans refresh each edge's heavy line every couple of seconds
+// (EdgeNode refreshes it per request; at 1024 clients per edge the scan is
+// the amortized form). Requests between scans are judged against it.
 constexpr util::SimTime kScanPeriodNs = 2 * util::kSecond;
 constexpr util::SimTime kSourcePeriodNs = 500 * util::kMillisecond;
-
-// Penalty points per processed upload: failing the sanity battery costs
-// +6 (kMaxPenalty after ~6 strikes), a clean upload redeems -1 — the same
-// shape as PenaltyScheme over the full engines.
-constexpr float kBadUploadPoints = 6.0F;
-constexpr float kGoodUploadPoints = -1.0F;
 
 // Event-kind tags folded into the per-shard trace checksums.
 enum : std::uint64_t {
@@ -65,12 +61,6 @@ inline void fold_event(std::uint64_t& cs, std::uint64_t kind,
   fold(cs, node);
   fold(cs, static_cast<std::uint64_t>(time));
   fold(cs, extra);
-}
-
-inline std::uint64_t float_bits(float value) noexcept {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
 }
 
 // Trace-id construction for the scale spans. The top two bits partition
@@ -198,6 +188,7 @@ ScaleWorld::ScaleWorld(const ScaleConfig& config)
     engine_config.first_id = static_cast<std::uint32_t>(1000 + first);
     engine_config.count = shard->clients;
     shard->engine = std::make_unique<ClientEngine>(engine_config);
+    shard->econ = ClientEconomics({}, kUsageDecay, shard->clients);
     shard->rng = util::Xoshiro256(config_.seed ^ (0x9e3779b9ULL * (k + 1)));
     shard->cache_capacity_bits =
         static_cast<std::int64_t>(shard->clients) *
@@ -425,9 +416,12 @@ void ScaleWorld::edge_request(std::uint32_t s, std::uint32_t i,
   ClientEngine& engine = *shard.engine;
   const std::uint16_t bits = engine.pending_bits(i);
   if (bits == 0 || !engine.pending_matches(i, id)) return;  // stale dup
-  const std::uint32_t step = ++shard.usage_step;
-  engine.usage_touch(i, step, static_cast<float>(bits));
-  if (engine.has(i, ClientEngine::kHeavy)) {
+  // Usage in bytes, as at EdgeNode. The last scan's line judges; with no
+  // reserve partition here an over-line request only earns a strike.
+  const ClientEconomics::Verdict verdict = shard.econ.request(
+      ClientEconomics::Slot{i}, bits / 8.0, now, /*refresh=*/false,
+      /*denial_enabled=*/true);
+  if (verdict.deny) {
     ++shard.stats.heavy_denied;
     fold_event(shard.checksum, kFoldHeavyDeny, engine.global_id(i), now, id);
     if (plane_.tracing()) {
@@ -591,41 +585,38 @@ void ScaleWorld::edge_upload(std::uint32_t s, std::uint32_t i) {
     return;
   }
   ClientEngine& engine = *shard.engine;
-  if (engine.has(i, ClientEngine::kBlacklisted)) {
-    ++shard.stats.blacklist_drops;
+  ClientEconomics& econ = shard.econ;
+  const ClientEconomics::Slot slot{i};
+  // Penalty gate (Eq. 2): dropped packets are NOT processed, so they give
+  // no chance to redeem.
+  if (econ.should_drop(slot, shard.rng)) {
+    ++(econ.is_blacklisted(slot) ? shard.stats.blacklist_drops
+                                 : shard.stats.uploads_rejected);
     return;
   }
-  const float score = engine.penalty_score(i);
-  if (score >= static_cast<float>(kDropThresh)) {
-    // Probabilistic drop band between drop_thresh and max_penalty; dropped
-    // packets are NOT processed, so they give no chance to redeem.
-    const double drop_p = (score - kDropThresh) / (kMaxPenalty - kDropThresh);
-    if (shard.rng.bernoulli(drop_p)) {
-      ++shard.stats.uploads_rejected;
-      return;
-    }
-  }
   if (engine.has(i, ClientEngine::kBadUploader)) {
-    // Fails the sanity battery: penalize, reject the payload.
+    // Fails every sanity check: Table I's 0-of-6 row, payload rejected.
     ++shard.stats.uploads_rejected;
-    const bool was_blacklisted = engine.has(i, ClientEngine::kBlacklisted);
-    engine.penalty_add(i, kBadUploadPoints);
+    const bool was_blacklisted = econ.is_blacklisted(slot);
+    econ.record_result(slot, 0);
     const bool newly_blacklisted =
-        !was_blacklisted && engine.has(i, ClientEngine::kBlacklisted);
+        !was_blacklisted && econ.is_blacklisted(slot);
     if (newly_blacklisted) ++shard.stats.blacklisted_clients;
     fold_event(shard.checksum, kFoldUploadBad, engine.global_id(i), now,
-               float_bits(engine.penalty_score(i)));
+               std::bit_cast<std::uint64_t>(econ.penalty(slot)));
     if (plane_.tracing()) {
       obs::TraceEvent event =
           scale_event(now, newly_blacklisted ? "blacklisted" : "upload_bad",
                       "edge", engine.global_id(i), 0, 0, 0, 0);
-      add_attr(event, "penalty",
-               static_cast<double>(engine.penalty_score(i)));
+      add_attr(event, "penalty", econ.penalty(slot));
       plane_.edge(s).emit(event);
     }
     return;
   }
-  engine.penalty_add(i, kGoodUploadPoints);
+  // A clean upload redeems (6 of 6) and, as accepted work, advances the
+  // usage clock the way it does at EdgeNode.
+  econ.record_result(slot, nist::SanityBattery::kNumChecks);
+  econ.tick();
   ++shard.stats.uploads_accepted;
   // Accepted entropy mixes into the edge cache first, then accumulates
   // toward the next upstream forward (kUploadForwardBytes, §III-A).
@@ -668,23 +659,21 @@ void ScaleWorld::edge_scan(std::uint32_t s) {
     shard.sim.schedule_at(next, [this, s] { edge_scan(s); });
   }
   if (offline(shard, now)) return;  // a crashed edge does not police
-  // Absolute floor: several wire requests' worth of undecayed score — a
-  // single honest double-fire cannot reach it, a flooder's steady EWMA
-  // sits well above it.
-  const float floor =
-      4.5F * static_cast<float>(config_.request_bits);
-  const ClientEngine::HeavyScan scan = shard.engine->heavy_scan(
-      shard.usage_step, kUsageSigmaThreshold, kUsageHeavyMedianRatio, floor,
-      shard.scratch);
-  shard.stats.heavy_scan_flags += scan.heavy;
+  const ClientEconomics::HeavyLine line = shard.econ.refresh_line();
+  std::uint32_t heavy = 0;
+  for (std::uint32_t i = 0; i < shard.clients; ++i) {
+    heavy += shard.econ.over(ClientEconomics::Slot{i}) ? 1 : 0;
+  }
+  shard.stats.heavy_scan_flags += heavy;
   fold_event(shard.checksum, kFoldScan, shard.index, now,
-             (float_bits(scan.median) << 32) | float_bits(scan.threshold));
-  fold(shard.checksum, scan.heavy);
+             std::bit_cast<std::uint64_t>(line.threshold));
+  fold(shard.checksum, std::bit_cast<std::uint64_t>(line.median));
+  fold(shard.checksum, heavy);
   if (plane_.tracing()) {
     obs::TraceEvent event =
         scale_event(now, "heavy_scan", "edge", shard.index, 0, 0, 0, 0);
-    add_attr(event, "heavy", static_cast<double>(scan.heavy));
-    add_attr(event, "threshold", static_cast<double>(scan.threshold));
+    add_attr(event, "heavy", static_cast<double>(heavy));
+    add_attr(event, "threshold", line.threshold);
     plane_.edge(s).emit(event);
   }
 }
@@ -747,6 +736,7 @@ void ScaleWorld::edge_refill(std::uint32_t s, std::uint64_t bytes,
     return;
   }
   shard.refill_pending = false;
+  shard.econ.tick();  // a server delivery is accepted work (Eq. 1 clock)
   ++shard.stats.refills_completed;
   shard.cache_bits =
       std::min(shard.cache_capacity_bits,
@@ -996,8 +986,7 @@ std::size_t ScaleWorld::memory_bytes() const noexcept {
                           sizeof(std::uint64_t);
   for (const std::unique_ptr<EdgeShard>& shard : shards_) {
     total += sizeof(EdgeShard) + shard->sim.memory_bytes() +
-             shard->engine->memory_bytes() +
-             shard->scratch.capacity() * sizeof(float) +
+             shard->engine->memory_bytes() + shard->econ.memory_bytes() +
              shard->crashes.capacity() * sizeof(ScaleCrashWindow);
   }
   return total;

@@ -9,10 +9,14 @@
 //     node plus every client homed on it — and one more shard for the
 //     server tier. The partition is a pure function of the topology, never
 //     of the worker count.
-//   * Each shard owns a private 4-ary-heap Simulator and a struct-of-arrays
-//     ClientEngine (cadet/client_engine.h); client<->edge traffic is
-//     intra-shard, edge<->server traffic crosses through the conservative
-//     MergeQueue (sim/merge_queue.h) ordered by {time, seq, shard}.
+//   * Each shard owns a private 4-ary-heap Simulator, a struct-of-arrays
+//     ClientEngine (cadet/client_engine.h) and the edge's ClientEconomics
+//     table (cadet/economics.h, the one the full engines police with:
+//     Eq. 1 usage, the heavy line refreshed by a periodic scan, strikes
+//     plus the arrival-rate floor, Table I penalties); client<->edge
+//     traffic is intra-shard, edge<->server traffic crosses through the
+//     conservative MergeQueue (sim/merge_queue.h) ordered by {time, seq,
+//     shard}.
 //   * Execution is windowed: every shard runs [t, t + W) to completion,
 //     then a single-threaded barrier drains the merge queue and injects
 //     the boundary events, with W equal to the minimum edge<->server
@@ -37,6 +41,7 @@
 #include <vector>
 
 #include "cadet/client_engine.h"
+#include "cadet/economics.h"
 #include "obs/shard_obs.h"
 #include "sim/merge_queue.h"
 #include "sim/simulator.h"
@@ -230,8 +235,7 @@ class ScaleWorld {
     bool refill_pending = false;
     util::SimTime refill_issued_at = 0;
     std::uint64_t upload_buffer_bytes = 0;
-    std::uint32_t usage_step = 0;
-    std::vector<float> scratch;  // heavy-scan workspace
+    ClientEconomics econ;  // one slot per client, slot = client index
     std::vector<ScaleCrashWindow> crashes;
     std::uint64_t checksum = 0xcbf29ce484222325ULL;
     std::uint64_t refill_traces = 0;   // per-edge refill span counter

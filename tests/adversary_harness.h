@@ -84,7 +84,7 @@ struct ScenarioResult {
   std::size_t honest_delinquent = 0;
   /// Any non-probe honest client ever ENFORCED as heavy (a request
   /// refused outright after sustained strikes). The instantaneous
-  /// UsageTracker::is_heavy flag is noisy by design — honest Poisson
+  /// ClientEconomics::is_heavy flag is noisy by design — honest Poisson
   /// double-fires cross it for a packet or two — so the invariant the
   /// suite pins is that enforcement never touched an honest client.
   /// Probes run hotter than the honest baseline and are tracked
@@ -296,13 +296,13 @@ inline ScenarioResult run_scenario(const ScenarioConfig& cfg,
       const std::size_t idx = k * cfg.clients_per_network + i;
       const net::NodeId cid = client_id(idx);
       if (plan.is_attacker(idx) && attacked) {
-        r.attacker_penalty[idx] = e.penalty().score(cid);
-        r.attacker_blacklisted[idx] = e.penalty().is_blacklisted(cid);
+        r.attacker_penalty[idx] = e.economics().penalty(cid);
+        r.attacker_blacklisted[idx] = e.economics().is_blacklisted(cid);
         r.attacker_heavy[idx] =
-            e.usage().is_heavy(cid) || e.heavy_denials(cid) > 0;
+            e.economics().is_heavy(cid) || e.heavy_denials(cid) > 0;
       } else if (!plan.is_attacker(idx)) {
-        if (e.penalty().is_blacklisted(cid)) r.honest_blacklisted = true;
-        if (e.penalty().is_delinquent(cid)) ++r.honest_delinquent;
+        if (e.economics().is_blacklisted(cid)) r.honest_blacklisted = true;
+        if (e.economics().is_delinquent(cid)) ++r.honest_delinquent;
         if (e.heavy_denials(cid) > 0) {
           if (idx == probe_index(cfg, k)) {
             r.probe_heavy = true;

@@ -140,7 +140,7 @@ inline ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     for (std::size_t i = 0; i < cfg.clients_per_network; ++i) {
       const net::NodeId client =
           client_id(k * cfg.clients_per_network + i);
-      if (e.penalty().is_blacklisted(client)) {
+      if (e.economics().is_blacklisted(client)) {
         r.honest_client_blacklisted = true;
       }
     }

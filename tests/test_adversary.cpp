@@ -4,7 +4,7 @@
 // defenses hold quantitatively:
 //   1. service level — honest-client fulfillment stays within 5% of the
 //      all-honest baseline under every attack mix;
-//   2. policing — poisoners cross the PenaltyTable drop/blacklist
+//   2. policing — poisoners cross the Eq. 2 drop/blacklist
 //      thresholds within a bounded number of uploads, and honest clients
 //      are never blacklisted or flagged heavy;
 //   3. isolation — heavy_threshold() flags free-riders and cache
@@ -234,20 +234,20 @@ TEST(Adversary, PoisonerBlacklistedWithinBoundedUploads) {
   int uploads = 0;
   constexpr int kUploadBound = 60;
   for (; uploads < kUploadBound; ++uploads) {
-    if (edge.penalty().is_blacklisted(client.id())) break;
+    if (edge.economics().is_blacklisted(client.id())) break;
     const util::SimTime now = (uploads + 1) * util::kSecond;
     pump.pump(client.upload_entropy(poison, now), client.id(), now);
   }
-  EXPECT_TRUE(edge.penalty().is_blacklisted(client.id()))
+  EXPECT_TRUE(edge.economics().is_blacklisted(client.id()))
       << "not blacklisted after " << uploads << " poison uploads";
   EXPECT_LE(uploads, kUploadBound);
   // And the cutoff is permanent under the linear curve: packets from a
   // blacklisted device are always ignored, so the score cannot move.
-  const double score = edge.penalty().score(client.id());
+  const double score = edge.economics().penalty(client.id());
   const util::SimTime later = (kUploadBound + 2) * util::kSecond;
   pump.pump(client.upload_entropy(entropy::synth::patterned(96), later),
             client.id(), later);
-  EXPECT_EQ(edge.penalty().score(client.id()), score);
+  EXPECT_EQ(edge.economics().penalty(client.id()), score);
 }
 
 #if CADET_OBS_ENABLED

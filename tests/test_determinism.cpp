@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cadet/usage.h"
 #include "obs/trace.h"
 #include "testbed/topology.h"
 #include "testbed/workload.h"
@@ -67,33 +66,6 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(run_trace(20180301), run_trace(20180302));
 }
 #endif
-
-// The usage tracker traverses every score on every step (decay) and sums
-// them in the heavy-threshold fallback. With a hash map, the traversal —
-// and therefore the floating-point accumulation order — depended on
-// insertion history; scores_ is an ordered map precisely so two trackers
-// that saw the same events in different discovery order are bit-identical.
-TEST(Determinism, UsageTrackerIndependentOfInsertionOrder) {
-  UsageTracker ascending;
-  UsageTracker shuffled;
-  for (std::uint32_t id = 0; id < 8; ++id) ascending.track(id);
-  for (const std::uint32_t id : {5u, 2u, 7u, 0u, 3u, 6u, 1u, 4u}) {
-    shuffled.track(id);
-  }
-  // Identical event sequence against both; values chosen so float
-  // accumulation order matters if traversal order ever regresses.
-  for (int step = 0; step < 64; ++step) {
-    const std::uint32_t device = static_cast<std::uint32_t>((step * 5) % 8);
-    const double usage = 0.1 * static_cast<double>(step) + 1.0 / 3.0;
-    ascending.record(device, usage);
-    shuffled.record(device, usage);
-  }
-  for (std::uint32_t id = 0; id < 8; ++id) {
-    EXPECT_EQ(ascending.score(id), shuffled.score(id)) << "device " << id;
-    EXPECT_EQ(ascending.is_heavy(id), shuffled.is_heavy(id));
-  }
-  EXPECT_EQ(ascending.heavy_threshold(), shuffled.heavy_threshold());
-}
 
 }  // namespace
 }  // namespace cadet::testbed

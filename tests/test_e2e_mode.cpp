@@ -162,7 +162,7 @@ TEST(EndToEnd, UsageScoreStillTracksE2eRequests) {
   world.pump.pump(std::move(out), world.client.id());
   // 256 bytes recorded at the request, decayed once when the edge relayed
   // the server's reply (every processed packet is a decay step).
-  EXPECT_DOUBLE_EQ(world.edge.usage().score(world.client.id()),
+  EXPECT_DOUBLE_EQ(world.edge.economics().score(world.client.id()),
                    256.0 * kUsageDecay);
 }
 

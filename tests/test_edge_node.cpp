@@ -50,7 +50,7 @@ TEST(EdgeNode, BadUploadRejectedAndPenalized) {
       Packet::data_upload(entropy::synth::biased(rng, 32, 0.85), false));
   (void)edge.on_packet(1000, bad, 0);
   EXPECT_EQ(edge.stats().uploads_rejected_sanity, 1u);
-  EXPECT_GT(edge.penalty().score(1000), 2.0);
+  EXPECT_GT(edge.economics().penalty(1000), 2.0);
 }
 
 TEST(EdgeNode, BlacklistedClientIgnoredBeforeInspection) {
@@ -63,7 +63,7 @@ TEST(EdgeNode, BlacklistedClientIgnoredBeforeInspection) {
         1000, encode(Packet::data_upload(entropy::synth::patterned(32), false)),
         0);
   }
-  ASSERT_TRUE(edge.penalty().is_blacklisted(1000));
+  ASSERT_TRUE(edge.economics().is_blacklisted(1000));
   const auto before = edge.stats().uploads_dropped_penalty;
   (void)edge.on_packet(1000, upload_from_client(rng), 0);
   EXPECT_EQ(edge.stats().uploads_dropped_penalty, before + 1);
@@ -135,10 +135,10 @@ TEST(EdgeNode, RefillRequestedBelowQuarterCapacity) {
 TEST(EdgeNode, UsageScoreRecordedPerRequest) {
   EdgeNode edge(edge_config());
   (void)edge.on_packet(1000, encode(Packet::data_request(512, false)), 0);
-  EXPECT_DOUBLE_EQ(edge.usage().score(1000), 64.0);
+  EXPECT_DOUBLE_EQ(edge.economics().score(1000), 64.0);
   (void)edge.on_packet(1001, encode(Packet::data_request(256, false)), 0);
-  EXPECT_DOUBLE_EQ(edge.usage().score(1001), 32.0);
-  EXPECT_NEAR(edge.usage().score(1000), 64.0 * kUsageDecay, 1e-9);
+  EXPECT_DOUBLE_EQ(edge.economics().score(1001), 32.0);
+  EXPECT_NEAR(edge.economics().score(1000), 64.0 * kUsageDecay, 1e-9);
 }
 
 TEST(EdgeNode, HeavyUserBlockedFromReserve) {
@@ -150,17 +150,18 @@ TEST(EdgeNode, HeavyUserBlockedFromReserve) {
 
   // Make client 2000 heavy relative to peers: quiet history first, then a
   // sustained burst.
+  ClientEconomics& econ = edge.economics();
   for (int i = 0; i < 200; ++i) {
-    edge.usage().record(1001, 8.0);
-    edge.usage().record(1002, 8.0);
-    edge.usage().record(2000, 8.0);
+    econ.record(econ.slot(1001), 8.0);
+    econ.record(econ.slot(1002), 8.0);
+    econ.record(econ.slot(2000), 8.0);
   }
   for (int i = 0; i < 50; ++i) {
-    edge.usage().record(1001, 8.0);
-    edge.usage().record(1002, 8.0);
-    edge.usage().record(2000, 800.0);
+    econ.record(econ.slot(1001), 8.0);
+    econ.record(econ.slot(1002), 8.0);
+    econ.record(econ.slot(2000), 800.0);
   }
-  ASSERT_TRUE(edge.usage().is_heavy(2000));
+  ASSERT_TRUE(edge.economics().is_heavy(2000));
 
   // Drain the open portion with regular clients: 1024 -> 272 bytes.
   for (int i = 0; i < 2; ++i) {
@@ -250,26 +251,26 @@ TEST(EdgeNode, GatedPacketsDoNotAdvanceUsageClock) {
   EdgeNode edge(edge_config());
   util::Xoshiro256 rng(11);
   // Malformed bytes die at the decode gate.
-  auto steps = edge.usage().steps();
+  auto steps = edge.economics().steps();
   (void)edge.on_packet(1000, util::Bytes{0xff, 0xff}, 0);
-  EXPECT_EQ(edge.usage().steps(), steps);
+  EXPECT_EQ(edge.economics().steps(), steps);
   // A duplicated packet (sequenced retransmission) dies at the replay
   // gate. seq 0 would bypass dedup, so stamp one explicitly.
   Packet req = Packet::data_request(512, false);
   req.header.seq = 7;
   const auto wire_req = encode(req);
   (void)edge.on_packet(1000, wire_req, 0);
-  steps = edge.usage().steps();
+  steps = edge.economics().steps();
   (void)edge.on_packet(1000, wire_req, 0);
-  EXPECT_EQ(edge.usage().steps(), steps);
+  EXPECT_EQ(edge.economics().steps(), steps);
   EXPECT_EQ(edge.stats().dupes_dropped, 1u);
   // A sanity-rejected upload dies at the sanity gate.
   const auto bad =
       encode(Packet::data_upload(entropy::synth::biased(rng, 32, 0.85), false));
-  steps = edge.usage().steps();
+  steps = edge.economics().steps();
   (void)edge.on_packet(1001, bad, 0);
   ASSERT_EQ(edge.stats().uploads_rejected_sanity, 1u);
-  EXPECT_EQ(edge.usage().steps(), steps);
+  EXPECT_EQ(edge.economics().steps(), steps);
 }
 
 // The flip side: accepted work does advance the clock, so scores still
@@ -277,9 +278,9 @@ TEST(EdgeNode, GatedPacketsDoNotAdvanceUsageClock) {
 TEST(EdgeNode, AcceptedUploadAdvancesUsageClock) {
   EdgeNode edge(edge_config());
   util::Xoshiro256 rng(12);
-  const auto steps = edge.usage().steps();
+  const auto steps = edge.economics().steps();
   (void)edge.on_packet(1000, upload_from_client(rng), 0);
-  EXPECT_EQ(edge.usage().steps(), steps + 1);
+  EXPECT_EQ(edge.economics().steps(), steps + 1);
 }
 
 }  // namespace

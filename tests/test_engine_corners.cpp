@@ -265,7 +265,7 @@ TEST(UsageTracking, UploadsDoNotCountAsUsage) {
         0);
   }
   // Contributions must not make a device "heavy" (only requests do).
-  EXPECT_DOUBLE_EQ(t.edge.usage().score(t.client.id()), 0.0);
+  EXPECT_DOUBLE_EQ(t.edge.economics().score(t.client.id()), 0.0);
 }
 
 }  // namespace

@@ -191,10 +191,10 @@ TEST(Integration, MaliciousUploaderGetsPenalized) {
   world.simulator().run();
 
   EdgeNode& edge = world.edge(0);
-  EXPECT_GT(edge.penalty().score(client_id(1)),
-            edge.penalty().score(client_id(0)));
-  EXPECT_TRUE(edge.penalty().is_delinquent(client_id(1)));
-  EXPECT_FALSE(edge.penalty().is_delinquent(client_id(0)));
+  EXPECT_GT(edge.economics().penalty(client_id(1)),
+            edge.economics().penalty(client_id(0)));
+  EXPECT_TRUE(edge.economics().is_delinquent(client_id(1)));
+  EXPECT_FALSE(edge.economics().is_delinquent(client_id(0)));
 }
 
 TEST(Integration, DeterministicForSeed) {

@@ -4,6 +4,8 @@
 // client count, and statistical-test sanity across input scales.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cadet/cadet.h"
 #include "entropy/pool.h"
 #include "entropy/sources.h"
@@ -106,13 +108,21 @@ struct PenaltyCase {
   DropCurve curve;
 };
 
+// Test names carry the printed parameter. Without these PrintTo overloads
+// gtest prints raw struct bytes (a string pointer, padding), so names
+// changed from run to run.
+void PrintTo(const PenaltyCase& c, std::ostream* os) {
+  *os << c.scheme.name
+      << (c.curve == DropCurve::kLinear ? ", linear" : ", sigmoid");
+}
+
 class PenaltySweep : public ::testing::TestWithParam<PenaltyCase> {};
 
 TEST_P(PenaltySweep, DropPercentIsMonotoneAndBounded) {
   PenaltyConfig config;
   config.scheme = GetParam().scheme;
   config.curve = GetParam().curve;
-  PenaltyTable table(config);
+  const ClientEconomics table(config);
   double prev = -1.0;
   for (double p = 0.0; p <= 60.0; p += 0.5) {
     const double d = table.drop_percent(p);
@@ -128,11 +138,12 @@ TEST_P(PenaltySweep, ScoreNeverNegative) {
   PenaltyConfig config;
   config.scheme = GetParam().scheme;
   config.curve = GetParam().curve;
-  PenaltyTable table(config);
+  ClientEconomics table(config);
+  const ClientEconomics::Slot device = table.slot(1);
   util::Xoshiro256 rng(5);
   for (int i = 0; i < 500; ++i) {
-    table.record_result(1, static_cast<int>(rng.uniform(7)));
-    ASSERT_GE(table.score(1), 0.0);
+    table.record_result(device, static_cast<int>(rng.uniform(7)));
+    ASSERT_GE(table.penalty(device), 0.0);
   }
 }
 
@@ -189,20 +200,22 @@ INSTANTIATE_TEST_SUITE_P(ClientCounts, CacheClientCounts,
 class UsageDecays : public ::testing::TestWithParam<double> {};
 
 TEST_P(UsageDecays, SteadyStateMatchesGeometricSeries) {
-  UsageTracker tracker(GetParam(), 3.0);
-  for (int i = 0; i < 5000; ++i) tracker.record(1, 10.0);
-  EXPECT_NEAR(tracker.score(1), 10.0 / (1.0 - GetParam()),
+  ClientEconomics table({}, GetParam());
+  const ClientEconomics::Slot device = table.slot(1);
+  for (int i = 0; i < 5000; ++i) table.record(device, 10.0);
+  EXPECT_NEAR(table.score(device), 10.0 / (1.0 - GetParam()),
               0.01 * 10.0 / (1.0 - GetParam()));
 }
 
 TEST_P(UsageDecays, ScoreIsNonNegativeAndDecaysToZero) {
-  UsageTracker tracker(GetParam(), 3.0);
-  tracker.record(1, 100.0);
+  ClientEconomics table({}, GetParam());
+  const ClientEconomics::Slot device = table.slot(1);
+  table.record(device, 100.0);
   for (int i = 0; i < 2000; ++i) {
-    tracker.tick();
-    ASSERT_GE(tracker.score(1), 0.0);
+    table.tick();
+    ASSERT_GE(table.score(device), 0.0);
   }
-  EXPECT_LT(tracker.score(1), 1e-6);
+  EXPECT_LT(table.score(device), 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Decays, UsageDecays,
@@ -214,6 +227,11 @@ struct BiasCase {
   double bias;
   bool should_pass_frequency;
 };
+
+void PrintTo(const BiasCase& c, std::ostream* os) {
+  *os << "bias " << c.bias
+      << (c.should_pass_frequency ? ", passes" : ", fails");
+}
 
 class FrequencyBias : public ::testing::TestWithParam<BiasCase> {};
 

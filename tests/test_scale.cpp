@@ -1,4 +1,4 @@
-// Sharded-world tests: struct-of-arrays client engine semantics, the
+// Sharded-world tests: struct-of-arrays client engine and shard economics, the
 // windowed conservative execution's determinism across executors, the
 // protocol conservation invariants, and the bytes/client budget that
 // justifies the SoA refactor (docs/PERFORMANCE.md "Sharded worlds").
@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "cadet/client_engine.h"
+#include "cadet/economics.h"
+#include "util/rng.h"
 #include "util/task_pool.h"
 
 namespace cadet::testbed {
@@ -63,21 +65,21 @@ void expect_conservation(const ScaleWorld& world) {
 
 // ------------------------------------------------------------ ClientEngine
 
+// The shard-side economics: one ClientEconomics slot per ClientEngine
+// index, driven the way ScaleWorld drives it.
+
 TEST(ClientEngine, LazyUsageDecayMatchesExplicit) {
-  ClientEngine::Config config;
-  config.seed = 7;
-  config.count = 4;
-  ClientEngine engine(config);
-  engine.usage_touch(0, 10, 100.0F);
-  // 25 steps later the score must equal 100 * decay^25 exactly (same pow
-  // call the eager implementation would make).
-  const float expected =
-      100.0F * static_cast<float>(std::pow(kUsageDecay, 25.0));
-  EXPECT_FLOAT_EQ(engine.usage_score(0, 35), expected);
-  // Touching folds the decay in and resets the step anchor.
-  const float touched = engine.usage_touch(0, 35, 50.0F);
-  EXPECT_FLOAT_EQ(touched, expected + 50.0F);
-  EXPECT_FLOAT_EQ(engine.usage_score(0, 35), touched);
+  ClientEconomics econ({}, kUsageDecay, 4);
+  const ClientEconomics::Slot slot{0};
+  econ.record(slot, 100.0);
+  for (int step = 0; step < 25; ++step) econ.tick();
+  // 25 steps later the score is 100 * decay^25, though no tick touched it.
+  const double expected = 100.0 * std::pow(kUsageDecay, 25.0);
+  EXPECT_NEAR(econ.score(slot), expected, 1e-12 * expected);
+  // The next record decays once more, then adds.
+  econ.record(slot, 50.0);
+  EXPECT_NEAR(econ.score(slot), expected * kUsageDecay + 50.0, 1e-12 * 50.0);
+  EXPECT_EQ(econ.score(ClientEconomics::Slot{1}), 0.0);
 }
 
 TEST(ClientEngine, PoolCursorAndPendingSlot) {
@@ -103,42 +105,48 @@ TEST(ClientEngine, PoolCursorAndPendingSlot) {
 }
 
 TEST(ClientEngine, PenaltyClampsAndBlacklists) {
-  ClientEngine::Config config;
-  config.seed = 9;
-  config.count = 1;
-  ClientEngine engine(config);
-  engine.penalty_add(0, 8.0F);
-  engine.penalty_add(0, -20.0F);  // floors at zero
-  EXPECT_FLOAT_EQ(engine.penalty_score(0), 0.0F);
-  EXPECT_FALSE(engine.has(0, ClientEngine::kBlacklisted));
-  for (int i = 0; i < 6; ++i) engine.penalty_add(0, 6.0F);
-  EXPECT_FLOAT_EQ(engine.penalty_score(0),
-                  static_cast<float>(kMaxPenalty));
-  EXPECT_TRUE(engine.has(0, ClientEngine::kBlacklisted));
+  ClientEconomics econ({}, kUsageDecay, 1);
+  const ClientEconomics::Slot slot{0};
+  econ.record_result(slot, 0);                              // +5
+  for (int i = 0; i < 6; ++i) econ.record_result(slot, 6);  // floors at zero
+  EXPECT_DOUBLE_EQ(econ.penalty(slot), 0.0);
+  EXPECT_FALSE(econ.is_blacklisted(slot));
+  // A bad uploader scores Table I Base's 0-of-6 row: blacklisted at 7.
+  for (int i = 0; i < 7; ++i) econ.record_result(slot, 0);
+  EXPECT_DOUBLE_EQ(econ.penalty(slot), kMaxPenalty);
+  EXPECT_TRUE(econ.is_blacklisted(slot));
+  util::Xoshiro256 rng(9);
+  EXPECT_TRUE(econ.should_drop(slot, rng));
 }
 
 TEST(ClientEngine, HeavyScanFlagsTheOutlier) {
-  ClientEngine::Config config;
-  config.seed = 11;
-  config.count = 64;
-  ClientEngine engine(config);
+  ClientEconomics econ({}, kUsageDecay, 64);
   // Population hums at ~10; client 7 runs 100x that.
   for (std::uint32_t i = 0; i < 64; ++i) {
-    engine.usage_touch(i, 100, i == 7 ? 1000.0F : 10.0F);
+    econ.record(ClientEconomics::Slot{i}, i == 7 ? 1000.0 : 10.0);
   }
-  std::vector<float> scratch;
-  const ClientEngine::HeavyScan scan =
-      engine.heavy_scan(100, kUsageSigmaThreshold, kUsageHeavyMedianRatio,
-                        50.0F, scratch);
-  EXPECT_EQ(scan.heavy, 1u);
-  EXPECT_TRUE(engine.has(7, ClientEngine::kHeavy));
-  EXPECT_FALSE(engine.has(6, ClientEngine::kHeavy));
-  // Decayed back under the threshold, the next scan clears the flag.
-  const ClientEngine::HeavyScan later =
-      engine.heavy_scan(1000, kUsageSigmaThreshold, kUsageHeavyMedianRatio,
-                        50.0F, scratch);
-  EXPECT_EQ(later.heavy, 0u);
-  EXPECT_FALSE(engine.has(7, ClientEngine::kHeavy));
+  const auto heavy_count = [&econ] {
+    std::uint32_t heavy = 0;
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      heavy += econ.over(ClientEconomics::Slot{i}) ? 1 : 0;
+    }
+    return heavy;
+  };
+  EXPECT_EQ(heavy_count(), 0u);  // no scan yet: nobody is over
+  econ.refresh_line();
+  EXPECT_EQ(heavy_count(), 1u);
+  EXPECT_TRUE(econ.over(ClientEconomics::Slot{7}));
+  EXPECT_FALSE(econ.over(ClientEconomics::Slot{6}));
+  // Client 7 goes quiet while the others keep asking: once it has decayed
+  // back into the cohort, the next scan clears it.
+  for (int round = 0; round < 5; ++round) {
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      if (i != 7) econ.record(ClientEconomics::Slot{i}, 10.0);
+    }
+  }
+  EXPECT_TRUE(econ.over(ClientEconomics::Slot{7}));  // until the next scan
+  econ.refresh_line();
+  EXPECT_EQ(heavy_count(), 0u);
 }
 
 TEST(ClientEngine, ColdStateIsDeterministicPerSeed) {
@@ -231,6 +239,22 @@ TEST(ScaleWorld, FloodersGetHeavyDenied) {
   // Policing must not collapse honest service: wire requests still mostly
   // fulfill (denials land on the flooders' requests).
   EXPECT_GT(stats.fulfilled * 10, stats.requests_sent * 8);
+  expect_conservation(world);
+}
+
+TEST(ScaleWorld, HonestPopulationIsNeverDenied) {
+  // Without flooders the scans still flag the momentarily busiest honest
+  // clients, but nobody at 0.25 Hz clears the arrival-rate floor, so
+  // strikes never escalate to denial.
+  ScaleConfig config = small_config();
+  config.flooder_fraction = 0.0;
+  config.request_rate_hz = 0.25;
+  config.duration_s = 6.0;
+  ScaleWorld world(config);
+  world.run();
+  const ScaleStats stats = world.stats();
+  EXPECT_GT(stats.requests_sent, 0u);
+  EXPECT_EQ(stats.heavy_denied, 0u);
   expect_conservation(world);
 }
 

@@ -180,7 +180,7 @@ TEST(Tampering, CorruptedBulkUploadPenalizesTheEdgeNotTheClients) {
   bulk.header.argument = static_cast<std::uint16_t>(bulk.payload.size());
   (void)server.on_packet(100, encode(bulk), 0);
   EXPECT_EQ(server.stats().uploads_rejected_sanity, 1u);
-  EXPECT_GT(server.penalty().score(100), 0.0);
+  EXPECT_GT(server.economics().penalty(100), 0.0);
 }
 
 TEST(ThreatModel, PassiveCaptureOfInitDoesNotYieldCsk) {
@@ -242,19 +242,19 @@ TEST(TokenRotation, ReregistrationDoesNotResetPenaltyOrEscapeBlacklist) {
     now += util::kSecond;
     w.pump.pump(w.client.request_entropy(256, now, {}), w.client.id(), now);
   }
-  ASSERT_GT(w.edge.usage().score(w.client.id()), 0.0);
+  ASSERT_GT(w.edge.economics().score(w.client.id()), 0.0);
 
   // ...and a delinquent penalty score with patterned poison uploads.
   const util::Bytes poison = entropy::synth::patterned(96);
   int uploads = 0;
-  while (!w.edge.penalty().is_delinquent(w.client.id()) && uploads < 40) {
+  while (!w.edge.economics().is_delinquent(w.client.id()) && uploads < 40) {
     ++uploads;
     now += util::kSecond;
     w.pump.pump(w.client.upload_entropy(poison, now), w.client.id(), now);
   }
-  ASSERT_TRUE(w.edge.penalty().is_delinquent(w.client.id()));
-  const double penalty_before = w.edge.penalty().score(w.client.id());
-  const double usage_before = w.edge.usage().score(w.client.id());
+  ASSERT_TRUE(w.edge.economics().is_delinquent(w.client.id()));
+  const double penalty_before = w.edge.economics().penalty(w.client.id());
+  const double usage_before = w.edge.economics().score(w.client.id());
   ASSERT_GT(usage_before, 0.0);
 
   // Rotate the token: a full fresh registration under the same node id.
@@ -267,19 +267,19 @@ TEST(TokenRotation, ReregistrationDoesNotResetPenaltyOrEscapeBlacklist) {
   // Nothing shed: penalty exactly preserved, still delinquent, and the
   // usage score untouched (registration packets do not advance the usage
   // clock, so rotation cannot even decay it).
-  EXPECT_DOUBLE_EQ(w.edge.penalty().score(w.client.id()), penalty_before);
-  EXPECT_TRUE(w.edge.penalty().is_delinquent(w.client.id()));
-  EXPECT_DOUBLE_EQ(w.edge.usage().score(w.client.id()), usage_before);
+  EXPECT_DOUBLE_EQ(w.edge.economics().penalty(w.client.id()), penalty_before);
+  EXPECT_TRUE(w.edge.economics().is_delinquent(w.client.id()));
+  EXPECT_DOUBLE_EQ(w.edge.economics().score(w.client.id()), usage_before);
 
   // Keep poisoning through the random-drop band until blacklisted.
-  while (!w.edge.penalty().is_blacklisted(w.client.id()) && uploads < 100) {
+  while (!w.edge.economics().is_blacklisted(w.client.id()) && uploads < 100) {
     ++uploads;
     now += util::kSecond;
     w.pump.pump(w.client.upload_entropy(poison, now), w.client.id(), now);
   }
-  ASSERT_TRUE(w.edge.penalty().is_blacklisted(w.client.id()))
+  ASSERT_TRUE(w.edge.economics().is_blacklisted(w.client.id()))
       << "not blacklisted after " << uploads << " poison uploads";
-  const double blacklist_score = w.edge.penalty().score(w.client.id());
+  const double blacklist_score = w.edge.economics().penalty(w.client.id());
 
   // Rotating again does not open the gate: still blacklisted, and a
   // post-rotation upload dies at the penalty gate without being scored.
@@ -288,15 +288,15 @@ TEST(TokenRotation, ReregistrationDoesNotResetPenaltyOrEscapeBlacklist) {
   now += util::kSecond;
   w.pump.pump(w.client.begin_rereg(now), w.client.id(), now);
   ASSERT_TRUE(w.client.reregistered());
-  EXPECT_TRUE(w.edge.penalty().is_blacklisted(w.client.id()));
-  EXPECT_DOUBLE_EQ(w.edge.penalty().score(w.client.id()), blacklist_score);
+  EXPECT_TRUE(w.edge.economics().is_blacklisted(w.client.id()));
+  EXPECT_DOUBLE_EQ(w.edge.economics().penalty(w.client.id()), blacklist_score);
 
   const std::uint64_t dropped_before =
       w.edge.stats().uploads_dropped_penalty;
   now += util::kSecond;
   w.pump.pump(w.client.upload_entropy(poison, now), w.client.id(), now);
   EXPECT_EQ(w.edge.stats().uploads_dropped_penalty, dropped_before + 1);
-  EXPECT_DOUBLE_EQ(w.edge.penalty().score(w.client.id()), blacklist_score);
+  EXPECT_DOUBLE_EQ(w.edge.economics().penalty(w.client.id()), blacklist_score);
 }
 
 }  // namespace

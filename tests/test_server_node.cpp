@@ -38,7 +38,7 @@ TEST(ServerNode, BadBulkUploadRejected) {
   (void)server.on_packet(100, encode(upload), 0);
   EXPECT_EQ(server.stats().uploads_rejected_sanity, 1u);
   EXPECT_EQ(server.pool().size(), 0u);
-  EXPECT_GT(server.penalty().score(100), 0.0);
+  EXPECT_GT(server.economics().penalty(100), 0.0);
 }
 
 TEST(ServerNode, RequestServedFromPool) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "util/bytes.h"
@@ -24,9 +25,14 @@ std::string hash_hex(const std::string& msg) {
 
 // FIPS 180-4 / NIST CAVP known-answer vectors.
 struct ShaVector {
+  std::string name;
   std::string message;
   std::string digest_hex;
 };
+
+// Test names carry the printed parameter. Without this gtest prints the
+// struct's raw bytes, string pointers included, so names changed per run.
+void PrintTo(const ShaVector& v, std::ostream* os) { *os << v.name; }
 
 class Sha256Vectors : public ::testing::TestWithParam<ShaVector> {};
 
@@ -37,21 +43,24 @@ TEST_P(Sha256Vectors, MatchesKnownDigest) {
 INSTANTIATE_TEST_SUITE_P(
     Nist, Sha256Vectors,
     ::testing::Values(
-        ShaVector{"",
+        ShaVector{"Empty", "",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b"
                   "7852b855"},
-        ShaVector{"abc",
+        ShaVector{"Abc", "abc",
                   "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61"
                   "f20015ad"},
-        ShaVector{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        ShaVector{"TwoBlock448Bit",
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
                   "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd4"
                   "19db06c1"},
-        ShaVector{"The quick brown fox jumps over the lazy dog",
+        ShaVector{"QuickBrownFox",
+                  "The quick brown fox jumps over the lazy dog",
                   "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf"
                   "37c9e592"},
         // FIPS 180-4 four-block message: the 896-bit vector, which keeps
         // the multi-block compress path honest past two blocks.
-        ShaVector{"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+        ShaVector{"FourBlock896Bit",
+                  "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
                   "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
                   "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac4503"
                   "7afee9d1"}));

@@ -50,7 +50,7 @@ TEST(Soak, FullTestbedTenMinutes) {
     for (std::size_t i = 0; i < config.clients_per_network; ++i) {
       const net::NodeId client =
           client_id(k * config.clients_per_network + i);
-      EXPECT_FALSE(edge.penalty().is_blacklisted(client))
+      EXPECT_FALSE(edge.economics().is_blacklisted(client))
           << "honest client " << client << " blacklisted";
     }
   }
@@ -138,7 +138,7 @@ TEST(Soak, LossyNetworkTenMinutes) {
     for (std::size_t i = 0; i < config.clients_per_network; ++i) {
       const net::NodeId client =
           client_id(k * config.clients_per_network + i);
-      EXPECT_FALSE(world.edge(k).penalty().is_blacklisted(client))
+      EXPECT_FALSE(world.edge(k).economics().is_blacklisted(client))
           << "honest client " << client << " blacklisted under loss";
     }
   }

@@ -55,7 +55,7 @@ struct Tree {
 /// into their direct includers.
 Tree make_tree(std::vector<SourceFile> files);
 
-/// Layering: module slug of a repo-relative path ("src/cadet/usage.h" ->
+/// Layering: module slug of a repo-relative path ("src/cadet/economics.h" ->
 /// "cadet", "tools/cadet_lint/lint.cpp" -> "tools"). Empty if the path is
 /// outside the known tree shape.
 std::string_view module_of(std::string_view path);

@@ -540,7 +540,7 @@ bool in_deterministic_tier(const SourceFile& file) {
 // unordered-iteration: traversal of a std::unordered_* container in a
 // deterministic tier. Known container identifiers come from this file's
 // own declarations plus those imported from directly-included headers
-// (so usage.cpp knows about the member usage.h declares).
+// (so economics.cpp knows about the member economics.h declares).
 
 // The range expression of a single-line range-for: text after the first
 // top-level ':' (skipping '::') inside the for-parens. Empty if this is

@@ -1011,9 +1011,9 @@ int main(int argc, char** argv) {
       const net::NodeId cid = client_id(idx);
       std::printf("  client %3zu (%-14s): penalty %5.1f%s | usage %s, "
                   "%llu heavy denial(s)\n",
-                  idx, attack_name(spec.kind), e.penalty().score(cid),
-                  e.penalty().is_blacklisted(cid) ? " BLACKLISTED" : "",
-                  e.usage().is_heavy(cid) ? "heavy" : "normal",
+                  idx, attack_name(spec.kind), e.economics().penalty(cid),
+                  e.economics().is_blacklisted(cid) ? " BLACKLISTED" : "",
+                  e.economics().is_heavy(cid) ? "heavy" : "normal",
                   static_cast<unsigned long long>(e.heavy_denials(cid)));
     }
   }
