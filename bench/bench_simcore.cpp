@@ -46,7 +46,6 @@
 #include "obs/flight.h"
 #include "obs/hdr.h"
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
@@ -671,68 +670,6 @@ int main(int argc, char** argv) {
                 off, on, 100.0 * overhead);
   }
 
-  // ---- metrics contention (health plane) ----
-  // 8 writer threads hammering one counter: a single shared atomic makes
-  // every inc a cache-line ping-pong; the sharded counter gives each
-  // thread its own line. The >=10x gate only means something when the
-  // threads actually run in parallel, so the report records the core
-  // count and --check applies the floor only with >= 4 cores.
-  {
-    const int kThreads = 8;
-    const std::uint64_t per_thread = quick ? 300000 : 1500000;
-    const auto hammer = [&](auto& instrument) {
-      std::vector<std::thread> writers;
-      writers.reserve(kThreads);
-      const double t0 = now_s();
-      for (int t = 0; t < kThreads; ++t) {
-        writers.emplace_back([&instrument, per_thread]() {
-          for (std::uint64_t i = 0; i < per_thread; ++i) instrument.inc();
-        });
-      }
-      for (auto& w : writers) w.join();
-      const double elapsed = now_s() - t0;
-      return static_cast<double>(kThreads) *
-             static_cast<double>(per_thread) / elapsed;
-    };
-    double shared_best = 0.0;
-    double sharded_best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-      obs::Counter shared;
-      shared_best = std::max(shared_best, hammer(shared));
-      obs::ShardedCounter sharded;
-      sharded_best = std::max(sharded_best, hammer(sharded));
-      const std::uint64_t expect =
-          static_cast<std::uint64_t>(kThreads) * per_thread;
-      if (sharded.value() != expect || shared.value() != expect) {
-        std::fprintf(stderr,
-                     "FATAL: lost updates (shared %llu, sharded %llu, "
-                     "expect %llu)\n",
-                     static_cast<unsigned long long>(shared.value()),
-                     static_cast<unsigned long long>(sharded.value()),
-                     static_cast<unsigned long long>(expect));
-        return 3;
-      }
-    }
-    const unsigned cores = std::thread::hardware_concurrency();
-    put(metrics, "metrics_contention_cores", static_cast<double>(cores));
-    // Lets a JSON reader distinguish "the 10x floor held" from "the floor
-    // could not be measured here" without re-deriving the core rule.
-    put(metrics, "sharded_counter_gate_measurable", cores >= 4 ? 1.0 : 0.0);
-    put(metrics, "shared_counter_ops_per_sec", shared_best);
-    put(metrics, "sharded_counter_ops_per_sec", sharded_best);
-    put(metrics, "sharded_counter_speedup", sharded_best / shared_best);
-    std::printf("counters   : %11.0f ops/s sharded, %11.0f shared "
-                "-> %.2fx (8 threads, %u core(s))\n",
-                sharded_best, shared_best, sharded_best / shared_best,
-                cores);
-    if (cores < 4) {
-      std::printf("WARNING    : %u core(s) < 4 — the 8 writers time-slice, "
-                  "so the sharded-counter contention floor cannot be "
-                  "measured; --check will SKIP (not pass) that gate\n",
-                  cores);
-    }
-  }
-
   // ---- HDR histogram: record throughput + quantile accuracy ----
   {
     const std::size_t n = quick ? 200000 : 1000000;
@@ -1013,25 +950,7 @@ int main(int argc, char** argv) {
         failed = true;
       }
     }
-    // Health-plane absolute gates. The sharded-counter floor needs real
-    // parallelism: with fewer than 4 cores the 8 writers time-slice on the
-    // same cache and both counters degenerate to the uncontended case —
-    // in that regime the gate is SKIPPED and says so, never silently
-    // counted as a pass.
-    if (get(metrics, "sharded_counter_speedup") > 0.0) {
-      if (get(metrics, "metrics_contention_cores") < 4.0) {
-        std::printf("SKIPPED    : sharded-counter 10x floor (%.0f core(s) "
-                    "< 4 — contention not measurable on this machine; see "
-                    "sharded_counter_gate_measurable in the report)\n",
-                    get(metrics, "metrics_contention_cores"));
-      } else if (get(metrics, "sharded_counter_speedup") < 10.0) {
-        std::fprintf(stderr,
-                     "REGRESSION: sharded counter speedup %.2fx under the "
-                     "10x contention floor\n",
-                     get(metrics, "sharded_counter_speedup"));
-        failed = true;
-      }
-    }
+    // Health-plane absolute gates.
     if (get(metrics, "hdr_exact_p99_seconds") > 0.0 &&
         get(metrics, "hdr_p99_rel_error") > 0.05) {
       std::fprintf(stderr,

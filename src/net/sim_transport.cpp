@@ -1,5 +1,6 @@
 #include "net/sim_transport.h"
 
+#include "obs/hdr.h"
 #include "obs/trace.h"
 #include "util/buffer_pool.h"
 #include "util/log.h"
@@ -61,7 +62,7 @@ void SimTransport::send(NodeId from, NodeId to, util::Bytes data) {
   }
   const util::SimTime delay = profile.sample(rng_, data.size());
   if (latency_hist_ != nullptr) {
-    latency_hist_->observe(util::to_seconds(delay));
+    latency_hist_->record(util::to_seconds(delay));
   }
   // One lookup now; the delivery closure reuses the pointer (element
   // references are stable). A handler installed between send and delivery
@@ -104,7 +105,7 @@ void SimTransport::bind_metrics(obs::Registry& registry) {
   packets_counter_ = &registry.counter("cadet_net_packets", labels);
   bytes_counter_ = &registry.counter("cadet_net_bytes", labels);
   dropped_counter_ = &registry.counter("cadet_net_dropped", labels);
-  latency_hist_ = &registry.histogram("cadet_net_latency_seconds", labels);
+  latency_hist_ = &registry.hdr("cadet_net_latency_seconds", labels);
 }
 
 }  // namespace cadet::net

@@ -92,7 +92,7 @@ class SimTransport final : public Transport {
   obs::Counter* packets_counter_ = nullptr;
   obs::Counter* bytes_counter_ = nullptr;
   obs::Counter* dropped_counter_ = nullptr;
-  obs::Histogram* latency_hist_ = nullptr;
+  obs::HdrHistogram* latency_hist_ = nullptr;
 };
 
 }  // namespace cadet::net

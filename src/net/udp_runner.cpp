@@ -65,12 +65,10 @@ void UdpRunner::send_all(NodeId from, const std::vector<Outgoing>& out) {
 
 void UdpRunner::bind_metrics(obs::Registry& registry) {
   const obs::Labels labels{{"tier", "net"}, {"transport", "udp"}};
-  packets_counter_ = &registry.sharded_counter("cadet_net_packets", labels);
-  bytes_counter_ = &registry.sharded_counter("cadet_net_bytes", labels);
-  dropped_counter_ = &registry.sharded_counter("cadet_net_dropped", labels);
-  obs::HdrConfig hdr;
-  hdr.striped = true;  // handler latency records from every poll thread
-  handler_hist_ = &registry.hdr("cadet_net_handler_seconds", labels, hdr);
+  packets_counter_ = &registry.counter("cadet_net_packets", labels);
+  bytes_counter_ = &registry.counter("cadet_net_bytes", labels);
+  dropped_counter_ = &registry.counter("cadet_net_dropped", labels);
+  handler_hist_ = &registry.hdr("cadet_net_handler_seconds", labels);
 }
 
 void UdpRunner::bind_health(obs::SloEngine* engine, int interval_ms) {
@@ -95,7 +93,7 @@ int UdpRunner::poll_once(int timeout_ms) {
           const util::SimTime start = wall_clock_ns();
           const auto replies = node.handler(sender, data, start);
           if (handler_hist_ != nullptr) {
-            handler_hist_->observe(
+            handler_hist_->record(
                 util::to_seconds(wall_clock_ns() - start));
           }
           send_all(node.id, replies);

@@ -15,7 +15,6 @@
 #include "net/udp.h"
 #include "obs/hdr.h"
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 
 namespace cadet::obs {
 class SloEngine;
@@ -57,9 +56,7 @@ class UdpRunner {
   /// Publish datagram totals and handler latency (cadet_net_packets /
   /// _bytes / _dropped counters, cadet_net_handler_seconds histogram,
   /// labeled transport=udp) to `registry`, which must outlive the runner.
-  /// Counters are cache-line-sharded and the latency histogram is a
-  /// striped HDR, so a multi-threaded poll loop shares them without
-  /// contention.
+  /// The poll loop is the only writer; scrapers read concurrently.
   void bind_metrics(obs::Registry& registry);
 
   /// Tick `engine` from the poll loop, at most once per `interval_ms` of
@@ -81,9 +78,9 @@ class UdpRunner {
   std::uint64_t dropped_sends_ = 0;
   std::uint64_t handled_ = 0;
 
-  obs::ShardedCounter* packets_counter_ = nullptr;
-  obs::ShardedCounter* bytes_counter_ = nullptr;
-  obs::ShardedCounter* dropped_counter_ = nullptr;
+  obs::Counter* packets_counter_ = nullptr;
+  obs::Counter* bytes_counter_ = nullptr;
+  obs::Counter* dropped_counter_ = nullptr;
   obs::HdrHistogram* handler_hist_ = nullptr;
 
   obs::SloEngine* slo_ = nullptr;

@@ -10,7 +10,6 @@
 
 #include "obs/csv.h"
 #include "obs/hdr.h"
-#include "obs/sharded.h"
 
 namespace cadet::obs {
 
@@ -78,13 +77,8 @@ void append_json_escaped(std::string& out, const std::string& value) {
 
 const char* kind_name(Registry::Kind kind) {
   switch (kind) {
-    // The sharded/HDR health-plane instruments export as the plain
-    // Prometheus types they are semantically — scrapers need no new
-    // machinery.
-    case Registry::Kind::kCounter:
-    case Registry::Kind::kShardedCounter: return "counter";
+    case Registry::Kind::kCounter: return "counter";
     case Registry::Kind::kGauge: return "gauge";
-    case Registry::Kind::kHistogram:
     case Registry::Kind::kHdr: return "histogram";
   }
   return "?";
@@ -108,26 +102,6 @@ std::string to_prometheus(const Registry& registry) {
       case Registry::Kind::kGauge:
         out += entry.name + label_block(entry.labels) + ' ' +
                std::to_string(entry.gauge->value()) + '\n';
-        break;
-      case Registry::Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-          cumulative += h.bucket(i);
-          out += entry.name + "_bucket" +
-                 label_block(entry.labels, "le",
-                             format_double(h.upper_bound(i))) +
-                 ' ' + std::to_string(cumulative) + '\n';
-        }
-        out += entry.name + "_sum" + label_block(entry.labels) + ' ' +
-               format_double(h.sum()) + '\n';
-        out += entry.name + "_count" + label_block(entry.labels) + ' ' +
-               std::to_string(h.count()) + '\n';
-        break;
-      }
-      case Registry::Kind::kShardedCounter:
-        out += entry.name + "_total" + label_block(entry.labels) + ' ' +
-               std::to_string(entry.sharded->value()) + '\n';
         break;
       case Registry::Kind::kHdr: {
         // Only populated cells become buckets: an HDR histogram has ~1k
@@ -185,24 +159,6 @@ std::string to_json(const Registry& registry) {
       case Registry::Kind::kGauge:
         out += ",\"value\":" + std::to_string(entry.gauge->value());
         break;
-      case Registry::Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        out += ",\"count\":" + std::to_string(h.count()) +
-               ",\"sum\":" + format_double(h.sum()) + ",\"buckets\":[";
-        for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-          if (i) out += ',';
-          out += "{\"le\":";
-          out += std::isinf(h.upper_bound(i))
-                     ? "null"
-                     : format_double(h.upper_bound(i));
-          out += ",\"count\":" + std::to_string(h.bucket(i)) + '}';
-        }
-        out += ']';
-        break;
-      }
-      case Registry::Kind::kShardedCounter:
-        out += ",\"value\":" + std::to_string(entry.sharded->value());
-        break;
       case Registry::Kind::kHdr: {
         const HdrSnapshot snap = entry.hdr->snapshot();
         out += ",\"count\":" + std::to_string(snap.count) +
@@ -242,13 +198,6 @@ void write_csv(const Registry& registry, std::ostream& out) {
         break;
       case Registry::Kind::kGauge:
         value = std::to_string(entry.gauge->value());
-        break;
-      case Registry::Kind::kHistogram:
-        value = std::to_string(entry.histogram->count()) + " obs, sum " +
-                format_double(entry.histogram->sum());
-        break;
-      case Registry::Kind::kShardedCounter:
-        value = std::to_string(entry.sharded->value());
         break;
       case Registry::Kind::kHdr:
         value = std::to_string(entry.hdr->count()) + " obs, sum " +

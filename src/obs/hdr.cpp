@@ -113,7 +113,6 @@ bool HdrSnapshot::merge(const HdrSnapshot& other) {
   count += other.count;
   sum_s += other.sum_s;
   saturated += other.saturated;
-  epoch = std::max(epoch, other.epoch);
   return true;
 }
 
@@ -139,38 +138,24 @@ HdrHistogram::HdrHistogram(const HdrConfig& config) {
   layout_.sub_bucket_bits = std::clamp(config.sub_bucket_bits, 1, 12);
   const double max_s = std::clamp(config.max_value_s, 1e-6, 1e9);
   layout_.max_value_ns = static_cast<std::uint64_t>(max_s * 1e9);
-#if CADET_OBS_ENABLED
-  stripes_ = config.striped ? kShardStripes : 1;
-#else
-  stripes_ = 1;
-#endif
-  cells_per_stripe_ = layout_.cell_count();
-  cells_ = std::vector<Cell>(stripes_ * cells_per_stripe_);
-  sum_ns_ = std::vector<Cell>(stripes_);
-  saturated_ = std::vector<Cell>(stripes_);
+  cell_count_ = layout_.cell_count();
+  cells_ = std::vector<Cell>(cell_count_ + 2);
 }
 
-std::uint64_t HdrHistogram::cell_value(std::size_t flat) const noexcept {
+std::uint64_t HdrHistogram::load(std::size_t slot) const noexcept {
 #if CADET_OBS_ENABLED
-  return cells_[flat].load(std::memory_order_relaxed);
+  return cells_[slot].load(std::memory_order_relaxed);
 #else
-  return cells_[flat];
+  return cells_[slot];
 #endif
 }
 
-void HdrHistogram::cell_add(std::size_t flat, std::uint64_t n) noexcept {
+void HdrHistogram::add(std::size_t slot, std::uint64_t n) noexcept {
 #if CADET_OBS_ENABLED
-  cells_[flat].fetch_add(n, std::memory_order_relaxed);
+  cells_[slot].fetch_add(n, std::memory_order_relaxed);
 #else
-  cells_[flat] += n;
+  cells_[slot] += n;
 #endif
-}
-
-std::size_t HdrHistogram::stripe_base() const noexcept {
-#if CADET_OBS_ENABLED
-  if (stripes_ > 1) return detail::shard_stripe() * cells_per_stripe_;
-#endif
-  return 0;
 }
 
 void HdrHistogram::record(double seconds) noexcept {
@@ -185,66 +170,39 @@ void HdrHistogram::record(double seconds) noexcept {
       v = static_cast<std::uint64_t>(ns);
     }
   }
-  const std::size_t stripe = stripe_base() / cells_per_stripe_;
-  cell_add(stripe_base() + layout_.index_of(v), 1);
-#if CADET_OBS_ENABLED
-  sum_ns_[stripe].fetch_add(v, std::memory_order_relaxed);
-  if (saturated) saturated_[stripe].fetch_add(1, std::memory_order_relaxed);
-#else
-  sum_ns_[stripe] += v;
-  if (saturated) saturated_[stripe] += 1;
-#endif
+  add(layout_.index_of(v), 1);
+  add(cell_count_, v);
+  if (saturated) add(cell_count_ + 1, 1);
 }
 
 std::uint64_t HdrHistogram::count() const noexcept {
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < cells_.size(); ++i) total += cell_value(i);
+  for (std::size_t i = 0; i < cell_count_; ++i) total += load(i);
   return total;
 }
 
 double HdrHistogram::sum() const noexcept {
-  std::uint64_t ns = 0;
-  for (std::size_t s = 0; s < stripes_; ++s) {
-#if CADET_OBS_ENABLED
-    ns += sum_ns_[s].load(std::memory_order_relaxed);
-#else
-    ns += sum_ns_[s];
-#endif
-  }
-  return static_cast<double>(ns) * 1e-9;
+  return static_cast<double>(load(cell_count_)) * 1e-9;
 }
 
 std::uint64_t HdrHistogram::saturations() const noexcept {
-  std::uint64_t n = 0;
-  for (std::size_t s = 0; s < stripes_; ++s) {
-#if CADET_OBS_ENABLED
-    n += saturated_[s].load(std::memory_order_relaxed);
-#else
-    n += saturated_[s];
-#endif
-  }
-  return n;
+  return load(cell_count_ + 1);
 }
 
 std::uint64_t HdrHistogram::cell(std::size_t index) const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < stripes_; ++s) {
-    total += cell_value(s * cells_per_stripe_ + index);
-  }
-  return total;
+  return load(index);
 }
 
 double HdrHistogram::quantile(double q) const noexcept {
-  // Walk merged cells directly; allocation-free so it stays noexcept-safe.
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < cells_per_stripe_; ++i) total += cell(i);
+  // Walk the cells directly; allocation-free so it stays noexcept-safe.
+  const std::uint64_t total = count();
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(total);
   std::uint64_t cumulative = 0;
   std::size_t last_populated = 0;
-  for (std::size_t i = 0; i < cells_per_stripe_; ++i) {
-    const std::uint64_t c = cell(i);
+  for (std::size_t i = 0; i < cell_count_; ++i) {
+    const std::uint64_t c = load(i);
     if (c == 0) continue;
     last_populated = i;
     cumulative += c;
@@ -263,24 +221,21 @@ std::uint64_t HdrHistogram::count_above(double seconds) const noexcept {
           ? layout_.max_value_ns
           : static_cast<std::uint64_t>(ns);
   std::uint64_t above = 0;
-  for (std::size_t i = cells_per_stripe_; i-- > 0;) {
+  for (std::size_t i = cell_count_; i-- > 0;) {
     if (layout_.value_lo(i) < threshold_ns) break;
-    above += cell(i);
+    above += load(i);
   }
   return above;
 }
 
 bool HdrHistogram::absorb(const HdrSnapshot& delta) {
-  if (!(delta.layout == layout_) ||
-      delta.counts.size() != cells_per_stripe_) {
+  if (!(delta.layout == layout_) || delta.counts.size() != cell_count_) {
     return false;
   }
-  // All adds land in stripe 0; cell() merges stripes on the read side, so
-  // absorbed counts and directly recorded ones are indistinguishable.
   std::uint64_t ns = 0;
-  for (std::size_t i = 0; i < cells_per_stripe_; ++i) {
+  for (std::size_t i = 0; i < cell_count_; ++i) {
     if (delta.counts[i] == 0) continue;
-    cell_add(i, delta.counts[i]);
+    add(i, delta.counts[i]);
     ns += delta.counts[i] * layout_.value_lo(i);
   }
   // Preserve the exact sum the source histogram accumulated rather than
@@ -288,26 +243,17 @@ bool HdrHistogram::absorb(const HdrSnapshot& delta) {
   const double sum_ns = delta.sum_s > 0.0
                             ? delta.sum_s * 1e9
                             : static_cast<double>(ns);
-#if CADET_OBS_ENABLED
-  sum_ns_[0].fetch_add(static_cast<std::uint64_t>(sum_ns),
-                       std::memory_order_relaxed);
-  saturated_[0].fetch_add(delta.saturated, std::memory_order_relaxed);
-#else
-  sum_ns_[0] += static_cast<std::uint64_t>(sum_ns);
-  saturated_[0] += delta.saturated;
-#endif
+  add(cell_count_, static_cast<std::uint64_t>(sum_ns));
+  add(cell_count_ + 1, delta.saturated);
   return true;
 }
 
 HdrSnapshot HdrHistogram::snapshot() const {
   HdrSnapshot snap;
   snap.layout = layout_;
-#if CADET_OBS_ENABLED
-  snap.epoch = detail::next_scrape_epoch();
-#endif
-  snap.counts.resize(cells_per_stripe_);
-  for (std::size_t i = 0; i < cells_per_stripe_; ++i) {
-    const std::uint64_t c = cell(i);
+  snap.counts.resize(cell_count_);
+  for (std::size_t i = 0; i < cell_count_; ++i) {
+    const std::uint64_t c = load(i);
     snap.counts[i] = c;
     snap.count += c;
   }

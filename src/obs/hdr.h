@@ -1,20 +1,20 @@
 // HDR-style log-linear latency histogram.
 //
-// The PR-1 Histogram's 10 fixed buckets bound a quantile only to within a
-// 3x bucket edge — good enough for dashboards, useless for "p999 moved
-// from 80 us to 120 us". HdrHistogram covers sub-microsecond .. minutes in
-// log-linear cells: values are kept in integer nanoseconds, each power-of-
-// two range ("octave") is split into 2^sub_bucket_bits linear sub-buckets,
-// so every recorded value is representable to a relative error of at most
-// 2^-(sub_bucket_bits-1) and a quantile read back from the cells is exact
-// to that precision. record() is O(1) (one bit-scan, one relaxed add),
-// allocation-free, and noexcept — hot-path safe.
+// The registry's one histogram type. A fixed table of 10 buckets would
+// bound a quantile only to within a 3x bucket edge — useless for "p999
+// moved from 80 us to 120 us". HdrHistogram covers sub-microsecond ..
+// minutes in log-linear cells: values are kept in integer nanoseconds,
+// each power-of-two range ("octave") is split into 2^sub_bucket_bits
+// linear sub-buckets, so every recorded value is representable to a
+// relative error of at most 2^-(sub_bucket_bits-1) and a quantile read
+// back from the cells is exact to that precision. record() is O(1) (one
+// bit-scan, one relaxed add), allocation-free, and noexcept — hot-path
+// safe.
 //
-// Threading: by default one cell array (the deterministic sim writes from
-// one thread). With HdrConfig::striped the cells are replicated across
-// obs::kShardStripes per-thread stripes (same discipline as
-// ShardedCounter), so concurrent recorders never share a cache line;
-// snapshot() merges stripes under the scrape epoch.
+// Threading: one cell array of relaxed atomics. Every caller records from
+// one thread (the simulator, the UDP poll loop, or a shard that owns a
+// private histogram folded at the window barrier); scrapers may read
+// concurrently and see monotone counts.
 //
 // Snapshots are mergeable: two snapshots with the same layout add
 // cell-wise, so per-shard or per-run histograms combine without losing
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "obs/metrics.h"  // for CADET_OBS_ENABLED
-#include "obs/sharded.h"
 
 namespace cadet::obs {
 
@@ -41,8 +40,6 @@ struct HdrConfig {
   /// the top cell (saturations() counts them). Default spans the latency
   /// range of interest: 1 ns .. ~8.5 minutes.
   double max_value_s = 512.0;
-  /// Replicate cells across per-thread stripes for concurrent recorders.
-  bool striped = false;
 };
 
 /// Cell-layout maths shared by the live histogram and its snapshots.
@@ -69,7 +66,6 @@ struct HdrSnapshot {
   std::uint64_t count = 0;
   double sum_s = 0.0;
   std::uint64_t saturated = 0;
-  std::uint64_t epoch = 0;  // scrape epoch this snapshot was taken under
 
   /// Quantile estimate, exact to the layout's precision, clamped into the
   /// highest populated cell (never extrapolates past max_value_s).
@@ -91,25 +87,21 @@ class HdrHistogram {
   /// Record one observation in seconds. Negative values clamp to 0,
   /// values beyond max_value_s clamp into the top cell.
   void record(double seconds) noexcept;
-  /// Histogram-API-compatible alias for call sites migrating from
-  /// Histogram::observe.
-  void observe(double seconds) noexcept { record(seconds); }
 
   const HdrLayout& layout() const noexcept { return layout_; }
-  bool striped() const noexcept { return stripes_ > 1; }
 
   std::uint64_t count() const noexcept;
   double sum() const noexcept;
   std::uint64_t saturations() const noexcept;
-  /// Merged cell count at `index` (across stripes).
+  /// Count in cell `index`.
   std::uint64_t cell(std::size_t index) const noexcept;
 
   /// Live quantile (takes an implicit snapshot of the counts).
   double quantile(double q) const noexcept;
   std::uint64_t count_above(double seconds) const noexcept;
 
-  /// Epoch-stamped mergeable copy of the counts. Monotone: a later
-  /// snapshot's count/cells are >= an earlier one's.
+  /// Mergeable copy of the counts. Monotone: a later snapshot's
+  /// count/cells are >= an earlier one's.
   HdrSnapshot snapshot() const;
 
   /// Fold a (delta) snapshot's cells into this live histogram. The sharded
@@ -126,18 +118,14 @@ class HdrHistogram {
   using Cell = std::uint64_t;
 #endif
 
-  std::uint64_t cell_value(std::size_t flat_index) const noexcept;
-  void cell_add(std::size_t flat_index, std::uint64_t n) noexcept;
-  std::size_t stripe_base() const noexcept;
+  std::uint64_t load(std::size_t slot) const noexcept;
+  void add(std::size_t slot, std::uint64_t n) noexcept;
 
   HdrLayout layout_;
-  std::size_t stripes_ = 1;
-  std::size_t cells_per_stripe_ = 0;
-  // [stripe][cell] flattened; trailing per-stripe slots hold sum (in ns)
-  // and the saturation count so they shard like the cells do.
+  std::size_t cell_count_ = 0;
+  // cell_count_ cells, then the sum (in ns) and the saturation count. One
+  // vector keeps the histogram movable (ShardObs streams live in one).
   std::vector<Cell> cells_;
-  std::vector<Cell> sum_ns_;     // one per stripe
-  std::vector<Cell> saturated_;  // one per stripe
 };
 
 }  // namespace cadet::obs

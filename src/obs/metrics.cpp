@@ -1,84 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "obs/hdr.h"
-#include "obs/sharded.h"
 
 namespace cadet::obs {
-
-#if CADET_OBS_ENABLED
-namespace detail {
-
-std::uint64_t next_scrape_epoch() noexcept {
-  static std::atomic<std::uint64_t> epoch{0};
-  return epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-std::size_t shard_stripe() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t stripe =
-      next.fetch_add(1, std::memory_order_relaxed) % kShardStripes;
-  return stripe;
-}
-
-}  // namespace detail
-#endif  // CADET_OBS_ENABLED
-
-// ---------------------------------------------------------------- Histogram
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.resize(bounds_.size() + 1);  // trailing +Inf bucket
-}
-
-void Histogram::observe(double v) noexcept {
-  // Inclusive upper bounds (Prometheus `le`): bucket i is the first whose
-  // bound is >= v; values beyond every bound land in the +Inf bucket.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t i = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[i].inc();
-  count_.inc();
-  sum_nano_.inc(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(v * 1e9)));
-}
-
-double Histogram::upper_bound(std::size_t i) const noexcept {
-  if (i < bounds_.size()) return bounds_[i];
-  return std::numeric_limits<double>::infinity();
-}
-
-double Histogram::quantile(double q) const noexcept {
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const std::uint64_t in_bucket = buckets_[i].value();
-    if (static_cast<double>(cumulative + in_bucket) < target ||
-        in_bucket == 0) {
-      cumulative += in_bucket;
-      continue;
-    }
-    const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-    if (i >= bounds_.size()) return lo;  // +Inf bucket: report its floor
-    const double hi = bounds_[i];
-    const double frac =
-        (target - static_cast<double>(cumulative)) /
-        static_cast<double>(in_bucket);
-    return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
-std::vector<double> Histogram::latency_seconds_bounds() {
-  return {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0};
-}
 
 // ----------------------------------------------------------------- Registry
 
@@ -88,7 +14,6 @@ Registry::~Registry() = default;
 
 Registry::Slot& Registry::find_or_create(const std::string& name,
                                          const Labels& labels, Kind kind,
-                                         std::vector<double> bounds,
                                          const HdrConfig* hdr_config) {
   util::MutexLock lock(mu_);
   const auto key = std::make_pair(name, labels);
@@ -98,12 +23,7 @@ Registry::Slot& Registry::find_or_create(const std::string& name,
   slot.name = name;
   slot.labels = labels;
   slot.kind = kind;
-  if (kind == Kind::kHistogram) {
-    if (bounds.empty()) bounds = Histogram::latency_seconds_bounds();
-    slot.histogram = std::make_unique<Histogram>(std::move(bounds));
-  } else if (kind == Kind::kShardedCounter) {
-    slot.sharded = std::make_unique<ShardedCounter>();
-  } else if (kind == Kind::kHdr) {
+  if (kind == Kind::kHdr) {
     slot.hdr = std::make_unique<HdrHistogram>(hdr_config ? *hdr_config
                                                          : HdrConfig{});
   }
@@ -112,32 +32,20 @@ Registry::Slot& Registry::find_or_create(const std::string& name,
 }
 
 Counter& Registry::counter(const std::string& name, const Labels& labels) {
-  return find_or_create(name, labels, Kind::kCounter, {}).counter;
+  return find_or_create(name, labels, Kind::kCounter).counter;
 }
 
 Gauge& Registry::gauge(const std::string& name, const Labels& labels) {
-  return find_or_create(name, labels, Kind::kGauge, {}).gauge;
-}
-
-Histogram& Registry::histogram(const std::string& name, const Labels& labels,
-                               std::vector<double> upper_bounds) {
-  return *find_or_create(name, labels, Kind::kHistogram,
-                         std::move(upper_bounds))
-              .histogram;
-}
-
-ShardedCounter& Registry::sharded_counter(const std::string& name,
-                                          const Labels& labels) {
-  return *find_or_create(name, labels, Kind::kShardedCounter, {}).sharded;
+  return find_or_create(name, labels, Kind::kGauge).gauge;
 }
 
 HdrHistogram& Registry::hdr(const std::string& name, const Labels& labels) {
-  return *find_or_create(name, labels, Kind::kHdr, {}).hdr;
+  return *find_or_create(name, labels, Kind::kHdr).hdr;
 }
 
 HdrHistogram& Registry::hdr(const std::string& name, const Labels& labels,
                             const HdrConfig& config) {
-  return *find_or_create(name, labels, Kind::kHdr, {}, &config).hdr;
+  return *find_or_create(name, labels, Kind::kHdr, &config).hdr;
 }
 
 std::vector<Registry::Entry> Registry::entries() const {
@@ -152,8 +60,6 @@ std::vector<Registry::Entry> Registry::entries() const {
     switch (slot.kind) {
       case Kind::kCounter: e.counter = &slot.counter; break;
       case Kind::kGauge: e.gauge = &slot.gauge; break;
-      case Kind::kHistogram: e.histogram = slot.histogram.get(); break;
-      case Kind::kShardedCounter: e.sharded = slot.sharded.get(); break;
       case Kind::kHdr: e.hdr = slot.hdr.get(); break;
     }
     out.push_back(std::move(e));

@@ -2,14 +2,14 @@
 // and the transports.
 //
 // Three instrument kinds, named and labeled Prometheus-style:
-//   Counter   monotonically increasing u64 (uploads, cache hits, drops)
-//   Gauge     signed instantaneous value (pool fill, queue depth)
-//   Histogram fixed upper-bound buckets + sum + count (latencies)
+//   Counter       monotonically increasing u64 (uploads, cache hits, drops)
+//   Gauge         signed instantaneous value (pool fill, queue depth)
+//   HdrHistogram  log-linear latency cells + sum + count (obs/hdr.h)
 //
-// Registration (Registry::counter/gauge/histogram) takes a mutex and may
+// Registration (Registry::counter/gauge/hdr) takes a mutex and may
 // allocate; it happens once per node at construction. The returned
 // references have stable addresses for the registry's lifetime, and the
-// increment/set/observe hot paths are lock-free: with CADET_OBS enabled
+// increment/set/record hot paths are lock-free: with CADET_OBS enabled
 // they are relaxed atomics (safe for the threaded UDP path), with
 // CADET_OBS=OFF they compile down to plain integer arithmetic — the exact
 // cost of the ad-hoc `++stats_.field` counters they replaced.
@@ -36,9 +36,8 @@
 
 namespace cadet::obs {
 
-class HdrHistogram;   // obs/hdr.h
-struct HdrConfig;     // obs/hdr.h
-class ShardedCounter; // obs/sharded.h
+class HdrHistogram;  // obs/hdr.h
+struct HdrConfig;    // obs/hdr.h
 
 /// Metric labels: sorted key=value pairs (tier, node, ...).
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -101,78 +100,33 @@ class Gauge {
 #endif
 };
 
-/// Cumulative histogram with fixed upper bounds (an implicit +Inf bucket is
-/// always appended). observe() is lock-free; the sum is kept in fixed-point
-/// nanounits so it needs no floating-point atomics.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double v) noexcept;
-
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
-  /// Upper bound of bucket i; the last bucket's bound is +infinity.
-  double upper_bound(std::size_t i) const noexcept;
-  /// Non-cumulative count of bucket i.
-  std::uint64_t bucket(std::size_t i) const noexcept {
-    return buckets_[i].value();
-  }
-  std::uint64_t count() const noexcept { return count_.value(); }
-  double sum() const noexcept {
-    return static_cast<double>(
-               static_cast<std::int64_t>(sum_nano_.value())) /
-           1e9;
-  }
-  /// Linear-interpolated quantile estimate from the bucket counts.
-  double quantile(double q) const noexcept;
-
-  /// 10 exponential latency buckets from 100 us to ~3 s, suiting both LAN
-  /// and WAN round trips.
-  static std::vector<double> latency_seconds_bounds();
-
- private:
-  std::vector<double> bounds_;  // finite upper bounds, ascending
-  std::deque<Counter> buckets_;  // bounds_.size() + 1 (the +Inf bucket)
-  Counter count_;
-  Counter sum_nano_;  // sum in 1e-9 units, as a u64 two's-complement
-};
-
 /// Named + labeled instruments. One Registry is typically shared by a whole
 /// deployment (testbed::World owns one); nodes constructed standalone fall
 /// back to a private registry so unit tests stay isolated.
 class Registry {
  public:
   Registry() = default;
-  ~Registry();  // out of line: Slot holds unique_ptrs to forward-declared
-                // health-plane instruments
+  ~Registry();  // out of line: Slot holds a unique_ptr to a forward-
+                // declared HdrHistogram
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   /// Find-or-create. Same (name, labels) returns the same instrument.
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  Histogram& histogram(const std::string& name,
-                       const Labels& labels = {},
-                       std::vector<double> upper_bounds = {});
-  /// Health-plane instruments (obs/sharded.h, obs/hdr.h): cache-line-
-  /// sharded counter for threaded hot paths, and a log-linear HDR
-  /// histogram for precise tail latencies. Both export under the plain
-  /// counter/histogram Prometheus types.
-  ShardedCounter& sharded_counter(const std::string& name,
-                                  const Labels& labels = {});
+  /// Log-linear HDR latency histogram (obs/hdr.h); exports under the
+  /// Prometheus histogram type.
   HdrHistogram& hdr(const std::string& name, const Labels& labels = {});
   HdrHistogram& hdr(const std::string& name, const Labels& labels,
                     const HdrConfig& config);
 
-  enum class Kind { kCounter, kGauge, kHistogram, kShardedCounter, kHdr };
+  enum class Kind { kCounter, kGauge, kHdr };
   struct Entry {
     std::string name;
     Labels labels;
     Kind kind;
     const Counter* counter = nullptr;
     const Gauge* gauge = nullptr;
-    const Histogram* histogram = nullptr;
-    const ShardedCounter* sharded = nullptr;
     const HdrHistogram* hdr = nullptr;
   };
   /// Stable snapshot of every registered instrument, sorted by (name,
@@ -187,8 +141,8 @@ class Registry {
 
  private:
   struct Slot {
-    Slot();   // out of line: the unique_ptrs point at forward-declared
-    ~Slot();  // health-plane instruments
+    Slot();   // out of line: the unique_ptr points at a forward-declared
+    ~Slot();  // HdrHistogram
     Slot(const Slot&) = delete;
     Slot& operator=(const Slot&) = delete;
 
@@ -199,14 +153,11 @@ class Registry {
     // stable addresses as the registry grows.
     Counter counter;
     Gauge gauge;
-    std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<ShardedCounter> sharded;
     std::unique_ptr<HdrHistogram> hdr;
   };
 
   Slot& find_or_create(const std::string& name, const Labels& labels,
-                       Kind kind, std::vector<double> bounds,
-                       const HdrConfig* hdr_config = nullptr);
+                       Kind kind, const HdrConfig* hdr_config = nullptr);
 
   mutable util::Mutex mu_;
   std::deque<Slot> slots_ CADET_GUARDED_BY(mu_);

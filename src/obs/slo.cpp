@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/hdr.h"
-#include "obs/sharded.h"
 #include "obs/trace.h"
 
 namespace cadet::obs {
@@ -34,7 +33,7 @@ bool parse_double(const std::string& s, double& out) {
 
 // Aggregated live readings for one metric family (every label set summed).
 struct FamilyReading {
-  double counter = 0.0;    // counters + sharded counters
+  double counter = 0.0;
   double gauge = 0.0;
   double hdr_count = 0.0;  // HDR observation count
   double hdr_above = 0.0;  // HDR observations above the rule threshold
@@ -51,14 +50,8 @@ FamilyReading read_family(const Registry& registry, const std::string& name,
       case Registry::Kind::kCounter:
         reading.counter += static_cast<double>(entry.counter->value());
         break;
-      case Registry::Kind::kShardedCounter:
-        reading.counter += static_cast<double>(entry.sharded->value());
-        break;
       case Registry::Kind::kGauge:
         reading.gauge += static_cast<double>(entry.gauge->value());
-        break;
-      case Registry::Kind::kHistogram:
-        reading.hdr_count += static_cast<double>(entry.histogram->count());
         break;
       case Registry::Kind::kHdr:
         reading.hdr_count += static_cast<double>(entry.hdr->count());
@@ -147,9 +140,10 @@ std::vector<SloRule> default_slo_rules() {
   // Pending-queue stall: in-flight fulfillments piling up.
   rules.push_back(*parse_slo_rule(
       "gauge:pending_stall:cadet_fulfillment_inflight:0:1000:3"));
-  // Penalty-table spike: sustained policing drops per second.
+  // Penalty-table spike: sustained Eq. 2 drops of client uploads per
+  // second, at the edges that police them on every path.
   rules.push_back(*parse_slo_rule(
-      "rate:penalty_spike:cadet_server_uploads_dropped_penalty:0:100:1"));
+      "rate:penalty_spike:cadet_edge_uploads_dropped_penalty:0:100:1"));
   return rules;
 }
 

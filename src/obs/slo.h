@@ -22,7 +22,7 @@
 //   burn:slow_fulfillment:cadet_fulfillment_seconds:0.5:0.1:2
 //   ratio:refill_churn:cadet_edge_refill_retries/cadet_edge_requests_received:0:0.5:2
 //   gauge:pending_stall:cadet_fulfillment_inflight:0:1000:3
-//   rate:penalty_spike:cadet_server_uploads_dropped_penalty:0:100:1
+//   rate:penalty_spike:cadet_edge_uploads_dropped_penalty:0:100:1
 #pragma once
 
 #include <cstddef>

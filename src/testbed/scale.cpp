@@ -81,6 +81,11 @@ inline std::uint64_t forward_trace(std::uint32_t shard,
   return (std::uint64_t{3} << 62) | (std::uint64_t{shard} << 32) | n;
 }
 
+// A trace's root span id equals its trace id; the zero-length 'X' children
+// (edge serve decisions, server grants) all take this id, which no root
+// ever has.
+constexpr std::uint64_t kChildSpan = 2;
+
 /// Build one scale trace event; callers append payload attrs (two slots
 /// stay free — ShardObs::emit stamps {shard, seq} into the other two).
 inline obs::TraceEvent scale_event(util::SimTime ts, const char* name,
@@ -115,12 +120,15 @@ void add_stats(ScaleStats& into, const ScaleStats& from) noexcept {
   into.fallback += from.fallback;
   into.expired += from.expired;
   into.stale_replies += from.stale_replies;
-  into.heavy_denied += from.heavy_denied;
-  into.cache_misses += from.cache_misses;
   into.bytes_delivered += from.bytes_delivered;
+  into.requests_received += from.requests_received;
+  into.heavy_denied += from.heavy_denied;
+  into.cache_hits += from.cache_hits;
+  into.cache_misses += from.cache_misses;
   into.uploads_sent += from.uploads_sent;
   into.uploads_accepted += from.uploads_accepted;
-  into.uploads_rejected += from.uploads_rejected;
+  into.uploads_dropped_penalty += from.uploads_dropped_penalty;
+  into.uploads_rejected_sanity += from.uploads_rejected_sanity;
   into.blacklist_drops += from.blacklist_drops;
   into.blacklisted_clients += from.blacklisted_clients;
   into.wire_dropped_requests += from.wire_dropped_requests;
@@ -416,6 +424,16 @@ void ScaleWorld::edge_request(std::uint32_t s, std::uint32_t i,
   ClientEngine& engine = *shard.engine;
   const std::uint16_t bits = engine.pending_bits(i);
   if (bits == 0 || !engine.pending_matches(i, id)) return;  // stale dup
+  ++shard.stats.requests_received;
+  const std::uint32_t client = engine.global_id(i);
+  const std::uint64_t trace = request_trace(client, id);
+  if (plane_.tracing()) {
+    obs::TraceEvent event = scale_event(now, "request", "edge", shard.index,
+                                        0, trace, trace, 0);
+    add_attr(event, "client", static_cast<double>(client));
+    add_attr(event, "bits", static_cast<double>(bits));
+    plane_.edge(s).emit(event);
+  }
   // Usage in bytes, as at EdgeNode. The last scan's line judges; with no
   // reserve partition here an over-line request only earns a strike.
   const ClientEconomics::Verdict verdict = shard.econ.request(
@@ -423,11 +441,13 @@ void ScaleWorld::edge_request(std::uint32_t s, std::uint32_t i,
       /*denial_enabled=*/true);
   if (verdict.deny) {
     ++shard.stats.heavy_denied;
-    fold_event(shard.checksum, kFoldHeavyDeny, engine.global_id(i), now, id);
+    fold_event(shard.checksum, kFoldHeavyDeny, client, now, id);
     if (plane_.tracing()) {
-      plane_.edge(s).emit(scale_event(
-          now, "heavy_deny", "edge", engine.global_id(i), 0,
-          request_trace(engine.global_id(i), id), 0, 0));
+      obs::TraceEvent event = scale_event(now, "heavy_deny", "edge",
+                                          shard.index, 0, trace, trace, 0);
+      add_attr(event, "client", static_cast<double>(client));
+      add_attr(event, "strikes", static_cast<double>(verdict.strikes));
+      plane_.edge(s).emit(event);
     }
     const bool dropped =
         config_.drop_prob > 0.0 && shard.rng.bernoulli(config_.drop_prob);
@@ -442,6 +462,15 @@ void ScaleWorld::edge_request(std::uint32_t s, std::uint32_t i,
   }
   if (shard.cache_bits >= bits) {
     shard.cache_bits -= bits;
+    ++shard.stats.cache_hits;
+    if (plane_.tracing()) {
+      obs::TraceEvent event = scale_event(now, "cache_hit", "edge",
+                                          shard.index, 'X', trace,
+                                          kChildSpan, trace);
+      add_attr(event, "client", static_cast<double>(client));
+      add_attr(event, "bytes", static_cast<double>(bits / 8));
+      plane_.edge(s).emit(event);
+    }
     const std::uint32_t grant = bits;
     const bool dropped =
         config_.drop_prob > 0.0 && shard.rng.bernoulli(config_.drop_prob);
@@ -456,11 +485,14 @@ void ScaleWorld::edge_request(std::uint32_t s, std::uint32_t i,
     // Cache empty: the edge has nothing to serve — tell the client so it
     // degrades to its CSPRNG fallback instead of burning retries.
     ++shard.stats.cache_misses;
-    fold_event(shard.checksum, kFoldCacheMiss, engine.global_id(i), now, id);
+    fold_event(shard.checksum, kFoldCacheMiss, client, now, id);
     if (plane_.tracing()) {
-      plane_.edge(s).emit(scale_event(
-          now, "cache_miss", "edge", engine.global_id(i), 0,
-          request_trace(engine.global_id(i), id), 0, 0));
+      obs::TraceEvent event = scale_event(now, "cache_miss", "edge",
+                                          shard.index, 'X', trace,
+                                          kChildSpan, trace);
+      add_attr(event, "client", static_cast<double>(client));
+      add_attr(event, "bytes", static_cast<double>(bits / 8));
+      plane_.edge(s).emit(event);
     }
     const bool dropped =
         config_.drop_prob > 0.0 && shard.rng.bernoulli(config_.drop_prob);
@@ -493,11 +525,11 @@ void ScaleWorld::client_reply(std::uint32_t s, std::uint32_t i,
   plane_.edge(s).record(latency_s);
   if (plane_.tracing()) {
     const std::uint64_t trace = request_trace(engine.global_id(i), id);
-    obs::TraceEvent event = scale_event(now, "fulfilled", "client",
+    obs::TraceEvent event = scale_event(now, "reply", "client",
                                         engine.global_id(i), 'E', trace,
                                         trace, 0);
     add_attr(event, "latency_s", latency_s);
-    add_attr(event, "bits", static_cast<double>(grant_bits));
+    add_attr(event, "bytes", static_cast<double>(grant_bits / 8));
     plane_.edge(s).emit(event);
   }
 }
@@ -532,19 +564,30 @@ void ScaleWorld::client_timeout(std::uint32_t s, std::uint32_t i,
   EdgeShard& shard = *shards_[s];
   ClientEngine& engine = *shard.engine;
   if (!engine.pending_matches(i, id)) return;  // resolved; stale timer
-  if (engine.bump_attempts(i) <= kMaxScaleRetries) {
+  const util::SimTime now = shard.sim.now();
+  const std::uint64_t trace = request_trace(engine.global_id(i), id);
+  const std::uint8_t attempt = engine.bump_attempts(i);
+  if (attempt <= kMaxScaleRetries) {
+    if (plane_.tracing()) {
+      obs::TraceEvent event = scale_event(now, "request_retry", "client",
+                                          engine.global_id(i), 0, trace,
+                                          trace, 0);
+      add_attr(event, "attempt", static_cast<double>(attempt));
+      plane_.edge(s).emit(event);
+    }
     send_request(s, i, id, true);
     return;
   }
   engine.cancel_request(i);
   ++shard.stats.expired;
-  const util::SimTime now = shard.sim.now();
   fold_event(shard.checksum, kFoldExpired, engine.global_id(i), now, id);
   if (plane_.tracing()) {
-    const std::uint64_t trace = request_trace(engine.global_id(i), id);
-    plane_.edge(s).emit(scale_event(now, "expired", "client",
-                                    engine.global_id(i), 'E', trace, trace,
-                                    0));
+    obs::TraceEvent event = scale_event(now, "request_expired", "client",
+                                        engine.global_id(i), 'E', trace,
+                                        trace, 0);
+    add_attr(event, "waited_s",
+             util::to_seconds(now - engine.pending_since(i)));
+    plane_.edge(s).emit(event);
   }
 }
 
@@ -587,27 +630,35 @@ void ScaleWorld::edge_upload(std::uint32_t s, std::uint32_t i) {
   ClientEngine& engine = *shard.engine;
   ClientEconomics& econ = shard.econ;
   const ClientEconomics::Slot slot{i};
+  const std::uint32_t client = engine.global_id(i);
   // Penalty gate (Eq. 2): dropped packets are NOT processed, so they give
   // no chance to redeem.
   if (econ.should_drop(slot, shard.rng)) {
-    ++(econ.is_blacklisted(slot) ? shard.stats.blacklist_drops
-                                 : shard.stats.uploads_rejected);
+    ++shard.stats.uploads_dropped_penalty;
+    if (econ.is_blacklisted(slot)) ++shard.stats.blacklist_drops;
+    if (plane_.tracing()) {
+      obs::TraceEvent event = scale_event(now, "penalty_drop", "edge",
+                                          shard.index, 0, 0, 0, 0);
+      add_attr(event, "client", static_cast<double>(client));
+      add_attr(event, "penalty", econ.penalty(slot));
+      plane_.edge(s).emit(event);
+    }
     return;
   }
   if (engine.has(i, ClientEngine::kBadUploader)) {
     // Fails every sanity check: Table I's 0-of-6 row, payload rejected.
-    ++shard.stats.uploads_rejected;
+    ++shard.stats.uploads_rejected_sanity;
     const bool was_blacklisted = econ.is_blacklisted(slot);
     econ.record_result(slot, 0);
-    const bool newly_blacklisted =
-        !was_blacklisted && econ.is_blacklisted(slot);
-    if (newly_blacklisted) ++shard.stats.blacklisted_clients;
-    fold_event(shard.checksum, kFoldUploadBad, engine.global_id(i), now,
+    if (!was_blacklisted && econ.is_blacklisted(slot)) {
+      ++shard.stats.blacklisted_clients;
+    }
+    fold_event(shard.checksum, kFoldUploadBad, client, now,
                std::bit_cast<std::uint64_t>(econ.penalty(slot)));
     if (plane_.tracing()) {
-      obs::TraceEvent event =
-          scale_event(now, newly_blacklisted ? "blacklisted" : "upload_bad",
-                      "edge", engine.global_id(i), 0, 0, 0, 0);
+      obs::TraceEvent event = scale_event(now, "sanity_reject", "edge",
+                                          shard.index, 0, 0, 0, 0);
+      add_attr(event, "client", static_cast<double>(client));
       add_attr(event, "penalty", econ.penalty(slot));
       plane_.edge(s).emit(event);
     }
@@ -635,12 +686,12 @@ void ScaleWorld::edge_upload(std::uint32_t s, std::uint32_t i) {
     event.emit_ts = now;
     if (plane_.tracing()) {
       event.ctx = forward_trace(shard.index, ++shard.forward_traces);
-      obs::TraceEvent open = scale_event(now, "upload_fwd", "edge",
-                                         shard.index, 'B', event.ctx,
+      obs::TraceEvent bulk = scale_event(now, "bulk_upload", "edge",
+                                         shard.index, 'X', event.ctx,
                                          event.ctx, 0);
-      add_attr(open, "bytes",
+      add_attr(bulk, "bytes",
                static_cast<double>(shard.upload_buffer_bytes));
-      plane_.edge(s).emit(open);
+      plane_.edge(s).emit(bulk);
     }
     merge_.emit(shard.index, event);
     ++shard.stats.upload_forwards;
@@ -701,9 +752,8 @@ void ScaleWorld::maybe_refill(EdgeShard& shard) {
   event.emit_ts = now;
   if (plane_.tracing()) {
     event.ctx = refill_trace(shard.index, ++shard.refill_traces);
-    obs::TraceEvent open = scale_event(now, "refill_req", "edge",
-                                       shard.index, 'B', event.ctx,
-                                       event.ctx, 0);
+    obs::TraceEvent open = scale_event(now, "refill", "edge", shard.index,
+                                       'B', event.ctx, event.ctx, 0);
     add_attr(open, "bytes", static_cast<double>(want_bytes));
     add_attr(open, "reissue", reissue ? 1.0 : 0.0);
     plane_.edge(shard.index).emit(open);
@@ -774,8 +824,8 @@ void ScaleWorld::server_refill(std::uint32_t edge, std::uint64_t want_bytes,
   merge_.emit(static_cast<std::uint32_t>(shards_.size()), event);
   fold_event(server_.checksum, kFoldServerGrant, edge, now, grant);
   if (plane_.tracing() && ctx != 0) {
-    obs::TraceEvent grant_event =
-        scale_event(now, "server_grant", "server", edge, 'X', ctx, 2, ctx);
+    obs::TraceEvent grant_event = scale_event(
+        now, "request", "server", edge, 'X', ctx, kChildSpan, ctx);
     add_attr(grant_event, "bytes", static_cast<double>(grant));
     plane_.server().emit(grant_event);
   }
@@ -786,10 +836,10 @@ void ScaleWorld::server_upload(std::uint64_t bytes, std::uint64_t ctx) {
   server_.pool_bytes += static_cast<std::int64_t>(bytes);
   fold_event(server_.checksum, kFoldServerUpload, 0, now, bytes);
   if (plane_.tracing() && ctx != 0) {
-    obs::TraceEvent close =
-        scale_event(now, "server_upload", "server", 0, 'E', ctx, ctx, 0);
-    add_attr(close, "bytes", static_cast<double>(bytes));
-    plane_.server().emit(close);
+    obs::TraceEvent mix =
+        scale_event(now, "mix", "server", 0, 0, ctx, ctx, 0);
+    add_attr(mix, "bytes", static_cast<double>(bytes));
+    plane_.server().emit(mix);
   }
 }
 
@@ -854,81 +904,86 @@ ScaleStats ScaleWorld::stats() const noexcept {
 
 void ScaleWorld::publish_metrics(obs::Registry& registry) {
   const ScaleStats cur = stats();
-  const auto bump = [&registry](const char* name, std::uint64_t now_total,
+  // Counters go up by the delta since the last call. inc(0) still
+  // registers the series, so the first call exports every family even at
+  // zero, as the per-node engines do at construction.
+  const auto bump = [&registry](const char* name, const obs::Labels& labels,
+                                std::uint64_t now_total,
                                 std::uint64_t before) {
-    if (now_total > before) registry.counter(name).inc(now_total - before);
+    registry.counter(name, labels).inc(now_total - before);
   };
-
-  // Canonical names the default SLO rules and dashboards already read, so
-  // the scale path lights up the same burn/ratio/gauge alerts per-node
-  // deployments use.
-  bump("cadet_edge_requests_received", cur.requests_sent,
-       published_.requests_sent);
-  bump("cadet_edge_refill_retries", cur.refill_reissues,
-       published_.refill_reissues);
-  bump("cadet_server_uploads_dropped_penalty", cur.uploads_rejected,
-       published_.uploads_rejected);
+  struct Family {
+    const char* name;
+    const char* tier;
+    std::uint64_t ScaleStats::*field;
+  };
+  static constexpr Family kFamilies[] = {
+      {"cadet_client_requests_sent", "client", &ScaleStats::requests_sent},
+      {"cadet_client_requests_fulfilled", "client", &ScaleStats::fulfilled},
+      {"cadet_client_requests_retried", "client", &ScaleStats::retried},
+      {"cadet_client_requests_fallback", "client", &ScaleStats::fallback},
+      {"cadet_client_requests_expired", "client", &ScaleStats::expired},
+      {"cadet_client_local_serves", "client", &ScaleStats::local_serves},
+      {"cadet_client_bytes_received", "client", &ScaleStats::bytes_delivered},
+      {"cadet_client_uploads_sent", "client", &ScaleStats::uploads_sent},
+      {"cadet_edge_requests_received", "edge",
+       &ScaleStats::requests_received},
+      {"cadet_edge_heavy_rejections", "edge", &ScaleStats::heavy_denied},
+      {"cadet_edge_cache_hits", "edge", &ScaleStats::cache_hits},
+      {"cadet_edge_cache_misses", "edge", &ScaleStats::cache_misses},
+      {"cadet_edge_uploads_accepted", "edge", &ScaleStats::uploads_accepted},
+      {"cadet_edge_uploads_dropped_penalty", "edge",
+       &ScaleStats::uploads_dropped_penalty},
+      {"cadet_edge_uploads_rejected_sanity", "edge",
+       &ScaleStats::uploads_rejected_sanity},
+      {"cadet_edge_bulk_uploads_sent", "edge", &ScaleStats::upload_forwards},
+      {"cadet_edge_refills_requested", "edge",
+       &ScaleStats::refills_requested},
+      {"cadet_edge_refill_retries", "edge", &ScaleStats::refill_reissues},
+      {"cadet_edge_refills_completed", "edge",
+       &ScaleStats::refills_completed},
+      {"cadet_server_requests_served", "server", &ScaleStats::server_grants},
+      {"cadet_server_bytes_served", "server",
+       &ScaleStats::server_grant_bytes},
+  };
+  for (const Family& family : kFamilies) {
+    bump(family.name, {{"tier", family.tier}}, cur.*family.field,
+         published_.*family.field);
+  }
+  const obs::Labels edge{{"tier", "edge"}};
+  // No end-to-end mode at scale: the series stays at zero, as on an edge
+  // whose clients never ask for end-to-end delivery.
+  registry.counter("cadet_edge_e2e_forwarded", edge);
+  registry.gauge("cadet_edge_blacklisted_clients", edge)
+      .set(static_cast<std::int64_t>(cur.blacklisted_clients));
+  registry.gauge("cadet_pool_bytes", {{"tier", "server"}})
+      .set(server_.pool_bytes);
+  const obs::Labels wire{{"tier", "net"}, {"transport", "scale"}};
+  bump("cadet_fault_dropped", wire,
+       cur.wire_dropped_requests + cur.wire_dropped_replies +
+           cur.wire_dropped_uploads,
+       published_.wire_dropped_requests + published_.wire_dropped_replies +
+           published_.wire_dropped_uploads);
+  bump("cadet_fault_crashed", wire,
+       cur.crash_dropped_requests + cur.crash_dropped_uploads +
+           cur.crash_dropped_refills,
+       published_.crash_dropped_requests + published_.crash_dropped_uploads +
+           published_.crash_dropped_refills);
   const std::uint64_t resolved = cur.fulfilled + cur.fallback + cur.expired;
   registry.gauge("cadet_fulfillment_inflight")
       .set(static_cast<std::int64_t>(cur.requests_sent) -
            static_cast<std::int64_t>(resolved));
 
-  // Scale-world counters (request economics, uploads, boundary, faults).
-  bump("cadet_scale_requests", cur.requests_sent,
-       published_.requests_sent);
-  bump("cadet_scale_local_serves", cur.local_serves,
-       published_.local_serves);
-  bump("cadet_scale_retries", cur.retried, published_.retried);
-  bump("cadet_scale_fulfilled", cur.fulfilled, published_.fulfilled);
-  bump("cadet_scale_fallback", cur.fallback, published_.fallback);
-  bump("cadet_scale_expired", cur.expired, published_.expired);
-  bump("cadet_scale_heavy_denied", cur.heavy_denied,
-       published_.heavy_denied);
-  bump("cadet_scale_cache_misses", cur.cache_misses,
-       published_.cache_misses);
-  bump("cadet_scale_uploads_sent", cur.uploads_sent,
-       published_.uploads_sent);
-  bump("cadet_scale_uploads_accepted", cur.uploads_accepted,
-       published_.uploads_accepted);
-  bump("cadet_scale_penalty_drops", cur.blacklist_drops,
-       published_.blacklist_drops);
-  bump("cadet_scale_refills_requested", cur.refills_requested,
-       published_.refills_requested);
-  bump("cadet_scale_refills_completed", cur.refills_completed,
-       published_.refills_completed);
-  bump("cadet_scale_upload_forwards", cur.upload_forwards,
-       published_.upload_forwards);
-  bump("cadet_scale_server_grants", cur.server_grants,
-       published_.server_grants);
-  bump("cadet_scale_wire_drops",
-       cur.wire_dropped_requests + cur.wire_dropped_replies +
-           cur.wire_dropped_uploads,
-       published_.wire_dropped_requests + published_.wire_dropped_replies +
-           published_.wire_dropped_uploads);
-  bump("cadet_scale_crash_drops",
-       cur.crash_dropped_requests + cur.crash_dropped_uploads +
-           cur.crash_dropped_refills,
-       published_.crash_dropped_requests + published_.crash_dropped_uploads +
-           published_.crash_dropped_refills);
-  registry.gauge("cadet_scale_blacklisted_clients")
-      .set(static_cast<std::int64_t>(cur.blacklisted_clients));
-  registry.gauge("cadet_server_pool_bytes").set(server_.pool_bytes);
-
   // Progress + boundary health. The violations counter is the satellite
   // operators alert on: non-zero means the conservative lookahead bound
   // was broken (a protocol bug, also a non-zero cadet_sim --scale exit).
   const std::uint64_t events = events_executed();
-  bump("cadet_scale_events", events, published_events_);
+  bump("cadet_sim_events", {{"tier", "sim"}}, events, published_events_);
   published_events_ = events;
-  // Created even at zero so the alerting floor is a present series, not a
-  // missing one.
-  obs::Counter& violations =
-      registry.counter("cadet_shard_lookahead_violations");
-  if (merge_.violations() > published_violations_) {
-    violations.inc(merge_.violations() - published_violations_);
-  }
+  bump("cadet_shard_lookahead_violations", {}, merge_.violations(),
+       published_violations_);
   published_violations_ = merge_.violations();
-  bump("cadet_scale_trace_events_folded", plane_.events_folded(),
+  bump("cadet_scale_trace_events_folded", {}, plane_.events_folded(),
        published_folded_);
   published_folded_ = plane_.events_folded();
   registry.gauge("cadet_scale_watermark_ms")
@@ -967,12 +1022,8 @@ void ScaleWorld::publish_metrics(obs::Registry& registry) {
   published_shard_events_.resize(shards_.size(), 0);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::uint64_t executed = shards_[s]->sim.events_executed();
-    if (executed > published_shard_events_[s]) {
-      registry
-          .counter("cadet_shard_events",
-                   {{"shard", std::to_string(s)}})
-          .inc(executed - published_shard_events_[s]);
-    }
+    bump("cadet_shard_events", {{"shard", std::to_string(s)}}, executed,
+         published_shard_events_[s]);
     published_shard_events_[s] = executed;
   }
 

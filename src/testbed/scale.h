@@ -90,6 +90,7 @@ struct ScaleConfig {
 };
 
 /// Aggregated run counters (summed across shards; all deterministic).
+/// publish_metrics exports them under the per-node engines' names.
 struct ScaleStats {
   // Client request economics.
   std::uint64_t requests_sent = 0;   ///< wire requests (excl. retransmits)
@@ -99,14 +100,19 @@ struct ScaleStats {
   std::uint64_t fallback = 0;        ///< resolved by local CSPRNG fallback
   std::uint64_t expired = 0;         ///< retries exhausted
   std::uint64_t stale_replies = 0;   ///< replies after the slot resolved
-  std::uint64_t heavy_denied = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t bytes_delivered = 0;
+  // Edge serve decisions: every request a live edge handles ends in
+  // exactly one of heavy_denied, cache_hits, cache_misses.
+  std::uint64_t requests_received = 0;
+  std::uint64_t heavy_denied = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
   // Uploads.
   std::uint64_t uploads_sent = 0;
   std::uint64_t uploads_accepted = 0;
-  std::uint64_t uploads_rejected = 0;  ///< penalty drop or failed sanity
-  std::uint64_t blacklist_drops = 0;
+  std::uint64_t uploads_dropped_penalty = 0;  ///< Eq. 2 gate, blacklisted too
+  std::uint64_t uploads_rejected_sanity = 0;
+  std::uint64_t blacklist_drops = 0;  ///< of uploads_dropped_penalty
   std::uint64_t blacklisted_clients = 0;
   // Faults.
   std::uint64_t wire_dropped_requests = 0;
@@ -181,10 +187,11 @@ class ScaleWorld {
   obs::ShardObsPlane& obs_plane() noexcept { return plane_; }
   const obs::ShardObsPlane& obs_plane() const noexcept { return plane_; }
 
-  /// Publish the world's observables into `registry` under the canonical
-  /// cadet_* names (deltas since the last publish; counters stay
-  /// monotone). Single-threaded: call from the window hook or after
-  /// run(). Exports from the registry are byte-identical at any -j.
+  /// Publish the world's observables into `registry` under the per-node
+  /// engines' cadet_<tier>_* names (deltas since the last publish;
+  /// counters stay monotone). The first call registers every family, even
+  /// at zero. Single-threaded: call from the window hook or after run().
+  /// Exports from the registry are byte-identical at any -j.
   void publish_metrics(obs::Registry& registry);
 
   /// Conservative-lookahead violations observed at the merge boundary

@@ -7,25 +7,6 @@
 
 namespace cadet::util {
 
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void Samples::ensure_sorted() const {
   if (!sorted_) {
     std::sort(values_.begin(), values_.end());
@@ -83,27 +64,6 @@ std::string Samples::summary() const {
      << " p95=" << quantile(0.95) << " min=" << min() << " max=" << max()
      << " (n=" << count() << ")";
   return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (bins == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: need bins>0 and hi>lo");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  std::ptrdiff_t idx =
-      static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
 }
 
 }  // namespace cadet::util

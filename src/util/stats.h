@@ -1,34 +1,12 @@
-// Statistics accumulators used by the experiment harnesses: running
-// mean/variance (Welford), exact percentiles over stored samples, and a
-// fixed-bin histogram for response-time distributions.
+// Exact percentiles over stored samples, for the experiment harnesses and
+// the paper-figure benches.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace cadet::util {
-
-/// Welford running mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  // sample variance (n-1)
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Stores all samples; exact quantiles by sorting on demand.
 class Samples {
@@ -56,26 +34,6 @@ class Samples {
 
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_low(std::size_t i) const noexcept;
-  std::uint64_t total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace cadet::util

@@ -13,7 +13,6 @@
 #include "obs/admin.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 
@@ -76,7 +75,7 @@ TEST(AdminServer, BindsEphemeralPort) {
 TEST(AdminServer, ServesPrometheusMetrics) {
   AdminFixture f;
   f.registry.counter("cadet_demo_hits").inc(3);
-  f.registry.sharded_counter("cadet_demo_packets").inc(7);
+  f.registry.counter("cadet_demo_packets").inc(7);
   ASSERT_TRUE(f.start());
   const std::string response = http_get(f.server.port(), "/metrics");
   EXPECT_NE(response.find("200"), std::string::npos);

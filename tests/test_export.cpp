@@ -9,6 +9,7 @@
 #include <string>
 
 #include "obs/export.h"
+#include "obs/hdr.h"
 #include "obs/metrics.h"
 
 namespace cadet::obs {
@@ -20,7 +21,7 @@ void fill(Registry& reg) {
   reg.counter("cadet_test_requests", tier_labels("edge", 100)).inc(7);
   reg.counter("cadet_test_requests", tier_labels("edge", 101)).inc(2);
   reg.gauge("cadet_test_depth").set(-3);
-  reg.histogram("cadet_test_latency_seconds", {}, {0.5, 1.0}).observe(0.75);
+  reg.hdr("cadet_test_latency_seconds").record(0.75);
 }
 
 TEST(PromRoundTrip, SamplesAndTypesSurvive) {
@@ -36,17 +37,17 @@ TEST(PromRoundTrip, SamplesAndTypesSurvive) {
   EXPECT_EQ(parsed.types[1].second, "histogram");
   EXPECT_EQ(parsed.types[2].second, "counter");
 
-  // 1 gauge + (3 buckets + sum + count) + 2 counters = 8 samples.
-  ASSERT_EQ(parsed.samples.size(), 8u);
+  // 1 gauge + (populated cell + +Inf bucket + sum + count) + 2 counters.
+  ASSERT_EQ(parsed.samples.size(), 7u);
   EXPECT_EQ(parsed.samples[0].name, "cadet_test_depth");
   EXPECT_EQ(parsed.samples[0].value, -3.0);
-  EXPECT_EQ(parsed.samples[6].name, "cadet_test_requests_total");
-  EXPECT_EQ(parsed.samples[6].labels, tier_labels("edge", 100));
-  EXPECT_EQ(parsed.samples[6].value, 7.0);
-  EXPECT_EQ(parsed.samples[7].value, 2.0);
+  EXPECT_EQ(parsed.samples[5].name, "cadet_test_requests_total");
+  EXPECT_EQ(parsed.samples[5].labels, tier_labels("edge", 100));
+  EXPECT_EQ(parsed.samples[5].value, 7.0);
+  EXPECT_EQ(parsed.samples[6].value, 2.0);
 
   // The +Inf bucket parses back to an actual infinity.
-  const PromSample& inf_bucket = parsed.samples[3];
+  const PromSample& inf_bucket = parsed.samples[2];
   EXPECT_EQ(inf_bucket.name, "cadet_test_latency_seconds_bucket");
   ASSERT_EQ(inf_bucket.labels.size(), 1u);
   EXPECT_EQ(inf_bucket.labels[0].first, "le");
@@ -106,7 +107,7 @@ TEST(ExportGolden, CsvSnapshotIsPinned) {
 TEST(ExportGolden, JsonSnapshotIsPinned) {
   Registry reg;
   reg.counter("cadet_test_hits", {{"tier", "edge"}}).inc(9);
-  reg.histogram("cadet_test_lat", {}, {0.5}).observe(0.25);
+  reg.hdr("cadet_test_lat").record(0.25);
   EXPECT_EQ(
       to_json(reg),
       "{\"metrics\":["
@@ -114,7 +115,7 @@ TEST(ExportGolden, JsonSnapshotIsPinned) {
       "\"labels\":{\"tier\":\"edge\"},\"value\":9},"
       "{\"name\":\"cadet_test_lat\",\"kind\":\"histogram\",\"labels\":{},"
       "\"count\":1,\"sum\":0.25,\"buckets\":["
-      "{\"le\":0.5,\"count\":1},{\"le\":null,\"count\":0}]}"
+      "{\"le\":0.25165824,\"count\":1}]}"
       "]}");
 }
 

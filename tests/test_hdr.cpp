@@ -1,5 +1,5 @@
 // HdrHistogram: log-linear layout maths, quantile precision, saturation,
-// snapshot merging, and the striped-concurrency contract. The
+// snapshot merging, and the writer-plus-scraper contract. The
 // HdrContention test doubles as the TSan stress suite (see
 // CMakePresets.json `tsan-metrics`).
 #include <gtest/gtest.h>
@@ -50,10 +50,10 @@ TEST(HdrLayout, SmallValuesAreExact) {
   }
 }
 
-TEST(HdrHistogram, CountSumAndAlias) {
+TEST(HdrHistogram, CountAndSum) {
   HdrHistogram h;
   h.record(0.001);
-  h.observe(0.002);  // Histogram-compatible alias
+  h.record(0.002);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_NEAR(h.sum(), 0.003, 1e-9);
   EXPECT_EQ(h.saturations(), 0u);
@@ -131,16 +131,6 @@ TEST(HdrSnapshot, MergeRejectsDifferentLayouts) {
   EXPECT_EQ(sa.count, before);
 }
 
-#if CADET_OBS_ENABLED  // the no-obs stub keeps counts but not epochs
-TEST(HdrSnapshot, EpochMonotone) {
-  HdrHistogram h;
-  h.record(0.1);
-  const HdrSnapshot a = h.snapshot();
-  const HdrSnapshot b = h.snapshot();
-  EXPECT_GT(b.epoch, a.epoch);
-}
-#endif  // CADET_OBS_ENABLED
-
 TEST(HdrHistogram, RegistryExportsBuckets) {
   Registry registry;
   HdrHistogram& h = registry.hdr("cadet_demo_seconds");
@@ -154,41 +144,35 @@ TEST(HdrHistogram, RegistryExportsBuckets) {
   EXPECT_NE(text.find("cadet_demo_seconds_count 2"), std::string::npos);
 }
 
-// Striped HDR under concurrent writers + a scraping reader: no lost
-// observations, snapshots monotone in count.
+// One recording thread + a scraping reader (the UdpRunner poll loop vs
+// an admin /metrics scrape): no lost observations, snapshots monotone in
+// count.
 #if CADET_OBS_ENABLED
-TEST(HdrHistogram, HdrContentionStripedWritersAndScraper) {
-  constexpr int kWriters = 8;
-  constexpr int kPerWriter = 10000;
-  HdrConfig config;
-  config.striped = true;
-  HdrHistogram h(config);
-  ASSERT_TRUE(h.striped());
+TEST(HdrHistogram, HdrContentionWriterAndScraper) {
+  constexpr int kRecords = 80000;
+  HdrHistogram h;
 
   std::atomic<bool> done{false};
+  std::atomic<bool> scraping{false};
   std::thread scraper([&]() {
     std::uint64_t last = 0;
     while (!done.load(std::memory_order_acquire)) {
       const HdrSnapshot snap = h.snapshot();
       ASSERT_GE(snap.count, last) << "snapshot count went backwards";
       last = snap.count;
+      scraping.store(true, std::memory_order_relaxed);
     }
   });
+  // Start recording only once the scraper runs, so the two overlap.
+  while (!scraping.load(std::memory_order_relaxed)) std::this_thread::yield();
 
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&h, w]() {
-      for (int i = 0; i < kPerWriter; ++i) {
-        h.record(0.0001 * static_cast<double>(1 + ((w + i) & 0xff)));
-      }
-    });
+  for (int i = 0; i < kRecords; ++i) {
+    h.record(0.0001 * static_cast<double>(1 + (i & 0xff)));
   }
-  for (auto& t : writers) t.join();
   done.store(true, std::memory_order_release);
   scraper.join();
 
-  EXPECT_EQ(h.count(),
-            static_cast<std::uint64_t>(kWriters) * kPerWriter);
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kRecords));
   const HdrSnapshot snap = h.snapshot();
   std::uint64_t cells_total = 0;
   for (const std::uint64_t c : snap.counts) cells_total += c;

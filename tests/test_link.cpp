@@ -36,7 +36,7 @@ TEST(LatencyProfile, WanSlowerThanLan) {
   util::Xoshiro256 rng(4);
   const auto lan = testbed_lan();
   const auto wan = internet_wan();
-  util::RunningStats lan_stats, wan_stats;
+  util::Samples lan_stats, wan_stats;
   for (int i = 0; i < 2000; ++i) {
     lan_stats.add(static_cast<double>(lan.sample(rng, 64)));
     wan_stats.add(static_cast<double>(wan.sample(rng, 64)));

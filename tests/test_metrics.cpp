@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <thread>
 
 #include "obs/export.h"
+#include "obs/hdr.h"
 #include "obs/metrics.h"
 
 namespace cadet::obs {
@@ -75,97 +77,34 @@ TEST(Registry, TwoThreadsIncrementingYieldExactTotals) {
   EXPECT_EQ(counter.value(), 2u * kIters);
   EXPECT_EQ(gauge.value(), 2 * kIters);
 }
-#endif  // CADET_OBS_ENABLED
 
-TEST(Histogram, BucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0});
-  ASSERT_EQ(h.bucket_count(), 3u);  // two finite bounds + the +Inf bucket
-  h.observe(0.5);   // <= 1.0
-  h.observe(1.0);   // le is inclusive: still bucket 0
-  h.observe(1.5);   // <= 2.0
-  h.observe(2.0);   // inclusive again
-  h.observe(2.5);   // +Inf
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_NEAR(h.sum(), 7.5, 1e-9);
-  EXPECT_EQ(h.upper_bound(0), 1.0);
-  EXPECT_EQ(h.upper_bound(1), 2.0);
-  EXPECT_TRUE(std::isinf(h.upper_bound(2)));
-}
-
-#if CADET_OBS_ENABLED
-TEST(Histogram, ConcurrentObservesKeepExactCount) {
-  Registry reg;
-  Histogram& h = reg.histogram("cadet_test_latency", {}, {0.25, 0.5, 1.0});
-  constexpr int kIters = 100000;
-  auto worker = [&](double v) {
-    for (int i = 0; i < kIters; ++i) h.observe(v);
-  };
-  std::thread t1(worker, 0.1);
-  std::thread t2(worker, 0.7);
-  t1.join();
-  t2.join();
-  EXPECT_EQ(h.count(), 2u * kIters);
-  EXPECT_EQ(h.bucket(0), static_cast<std::uint64_t>(kIters));
-  EXPECT_EQ(h.bucket(2), static_cast<std::uint64_t>(kIters));
+// The threaded callers' shape (UdpRunner's poll loop, an admin scrape):
+// one writer, one concurrent reader. No update may be lost and the reader
+// must never see the value go backwards.
+TEST(Counter, ContentionWriterAndScraper) {
+  constexpr std::uint64_t kIncrements = 200000;
+  Counter counter;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> scrapes{0};
+  std::thread scraper([&]() {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t now = counter.value();
+      ASSERT_GE(now, last) << "scrape went backwards";
+      last = now;
+      scrapes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Start writing only once the scraper runs, so the two overlap.
+  while (scrapes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  for (std::uint64_t i = 0; i < kIncrements; ++i) counter.inc();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_EQ(counter.value(), kIncrements);
 }
 #endif  // CADET_OBS_ENABLED
-
-TEST(Histogram, QuantileInterpolatesWithinBucket) {
-  Histogram h({1.0, 2.0, 4.0});
-  for (int i = 0; i < 100; ++i) h.observe(0.5);
-  // All mass in the first bucket: the median lands inside (0, 1.0].
-  const double p50 = h.quantile(0.5);
-  EXPECT_GT(p50, 0.0);
-  EXPECT_LE(p50, 1.0);
-}
-
-// Regression: quantiles that land in the +Inf bucket must clamp to the
-// highest finite bound instead of extrapolating to infinity/NaN. Pins the
-// exact readouts so a refactor of the interpolation can't silently
-// reintroduce unbounded estimates.
-TEST(Histogram, QuantileInInfBucketClampsToHighestFiniteBound) {
-  Histogram h({1.0, 2.0});
-  for (int i = 0; i < 90; ++i) h.observe(0.5);  // bucket (0, 1]
-  for (int i = 0; i < 10; ++i) h.observe(50.0);  // +Inf bucket
-  // p99 falls among the overflow observations: clamp, don't extrapolate.
-  const double p99 = h.quantile(0.99);
-  EXPECT_TRUE(std::isfinite(p99));
-  EXPECT_DOUBLE_EQ(p99, 2.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);
-  // p50 is untouched by the overflow mass.
-  EXPECT_LE(h.quantile(0.5), 1.0);
-}
-
-TEST(Histogram, QuantileAllMassInInfBucketStaysFinite) {
-  Histogram h({1.0, 2.0, 4.0});
-  for (int i = 0; i < 100; ++i) h.observe(1000.0);
-  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
-    const double v = h.quantile(q);
-    EXPECT_TRUE(std::isfinite(v)) << "q=" << q;
-    EXPECT_DOUBLE_EQ(v, 4.0) << "q=" << q;
-  }
-}
-
-TEST(Histogram, QuantileEmptyAndDegenerateInputs) {
-  Histogram h({1.0});
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // no observations
-  h.observe(0.5);
-  // Out-of-range q clamps into [0, 1] instead of misbehaving.
-  EXPECT_TRUE(std::isfinite(h.quantile(-1.0)));
-  EXPECT_TRUE(std::isfinite(h.quantile(2.0)));
-  EXPECT_LE(h.quantile(2.0), 1.0);
-}
-
-TEST(Histogram, DefaultLatencyBoundsAscend) {
-  const auto bounds = Histogram::latency_seconds_bounds();
-  ASSERT_GE(bounds.size(), 2u);
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_LT(bounds[i - 1], bounds[i]);
-  }
-}
 
 TEST(Labels, TierLabelsSortedForDeterministicExport) {
   const Labels labels = tier_labels("edge", 100);
@@ -180,7 +119,7 @@ TEST(Export, PrometheusTextContainsAllSeries) {
   Registry reg;
   reg.counter("cadet_test_uploads", tier_labels("edge", 100)).inc(3);
   reg.gauge("cadet_test_pool_bits", tier_labels("server", 1)).set(512);
-  reg.histogram("cadet_test_latency_seconds", {}, {0.5, 1.0}).observe(0.75);
+  reg.hdr("cadet_test_latency_seconds").record(0.75);
 
   const std::string text = to_prometheus(reg);
   EXPECT_NE(text.find("# TYPE cadet_test_uploads counter"),
@@ -192,9 +131,7 @@ TEST(Export, PrometheusTextContainsAllSeries) {
       text.find("cadet_test_pool_bits{node=\"1\",tier=\"server\"} 512"),
       std::string::npos);
   // Histogram series are cumulative and end with the +Inf bucket.
-  EXPECT_NE(text.find("cadet_test_latency_seconds_bucket{le=\"0.5\"} 0"),
-            std::string::npos);
-  EXPECT_NE(text.find("cadet_test_latency_seconds_bucket{le=\"1\"} 1"),
+  EXPECT_NE(text.find("# TYPE cadet_test_latency_seconds histogram"),
             std::string::npos);
   EXPECT_NE(text.find("cadet_test_latency_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);

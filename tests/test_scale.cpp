@@ -32,10 +32,13 @@ void expect_stats_eq(const ScaleStats& a, const ScaleStats& b) {
   EXPECT_EQ(a.fulfilled, b.fulfilled);
   EXPECT_EQ(a.fallback, b.fallback);
   EXPECT_EQ(a.expired, b.expired);
+  EXPECT_EQ(a.requests_received, b.requests_received);
   EXPECT_EQ(a.heavy_denied, b.heavy_denied);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.cache_misses, b.cache_misses);
   EXPECT_EQ(a.uploads_accepted, b.uploads_accepted);
-  EXPECT_EQ(a.uploads_rejected, b.uploads_rejected);
+  EXPECT_EQ(a.uploads_dropped_penalty, b.uploads_dropped_penalty);
+  EXPECT_EQ(a.uploads_rejected_sanity, b.uploads_rejected_sanity);
   EXPECT_EQ(a.blacklisted_clients, b.blacklisted_clients);
   EXPECT_EQ(a.refills_requested, b.refills_requested);
   EXPECT_EQ(a.refills_completed, b.refills_completed);
@@ -56,11 +59,15 @@ void expect_conservation(const ScaleWorld& world) {
             stats.server_grants);
   EXPECT_EQ(stats.server_grants,
             stats.refills_completed + stats.crash_dropped_refills);
-  // Upload ledger.
+  // Every request a live edge handles ends in exactly one serve decision.
+  EXPECT_EQ(stats.requests_received,
+            stats.heavy_denied + stats.cache_hits + stats.cache_misses);
+  // Upload ledger (blacklist drops are a part of the penalty drops).
   EXPECT_EQ(stats.uploads_sent,
-            stats.uploads_accepted + stats.uploads_rejected +
-                stats.blacklist_drops + stats.wire_dropped_uploads +
+            stats.uploads_accepted + stats.uploads_dropped_penalty +
+                stats.uploads_rejected_sanity + stats.wire_dropped_uploads +
                 stats.crash_dropped_uploads);
+  EXPECT_LE(stats.blacklist_drops, stats.uploads_dropped_penalty);
 }
 
 // ------------------------------------------------------------ ClientEngine

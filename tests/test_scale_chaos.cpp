@@ -59,8 +59,8 @@ TEST(ScaleChaos, HundredThousandClientsSurviveFaults) {
             stats.refills_completed + stats.crash_dropped_refills);
   // ...and the upload ledger balances.
   EXPECT_EQ(stats.uploads_sent,
-            stats.uploads_accepted + stats.uploads_rejected +
-                stats.blacklist_drops + stats.wire_dropped_uploads +
+            stats.uploads_accepted + stats.uploads_dropped_penalty +
+                stats.uploads_rejected_sanity + stats.wire_dropped_uploads +
                 stats.crash_dropped_uploads);
 
   // Retries + fallback keep the honest population served through 5% loss

@@ -176,16 +176,17 @@ TEST(ScaleObs, WindowFoldRespectsWatermark) {
 TEST(ScaleObs, RefillSpansStitchAcrossTheBoundary) {
   const Exports run = traced_run(obs_config(), 2);
   // Every refill trace must be a complete edge -> server -> edge story:
-  // 'B' refill_req opens it, 'X' server_grant rides the same trace on the
-  // far side of the boundary, 'E' refill_data / refill_lost closes it.
+  // 'B' refill opens it, the server's 'X' request rides the same trace on
+  // the far side of the boundary, 'E' refill_data / refill_lost closes it.
   std::set<std::uint64_t> open;
   std::map<std::uint64_t, std::uint64_t> grants;  // trace -> count
   std::uint64_t closed = 0;
   for (const obs::TraceEvent& event : run.events) {
     const std::string_view name(event.name);
-    if (name == "refill_req") {
+    if (name == "refill") {
       EXPECT_TRUE(open.insert(event.trace).second);
-    } else if (name == "server_grant") {
+    } else if (name == "request" &&
+               std::string_view(event.tier) == "server") {
       EXPECT_EQ(open.count(event.trace), 1u)
           << "grant for a refill trace that is not open";
       EXPECT_EQ(event.parent, event.trace);  // child of the root span
@@ -212,7 +213,7 @@ TEST(ScaleObs, FulfillmentHistogramMatchesTheLedger) {
   for (const obs::PromSample& sample : parsed.samples) {
     if (sample.name == "cadet_fulfillment_seconds_count") {
       hdr_count = sample.value;
-    } else if (sample.name == "cadet_scale_fulfilled_total") {
+    } else if (sample.name == "cadet_client_requests_fulfilled_total") {
       fulfilled = sample.value;
     } else if (sample.name == "cadet_shard_lookahead_violations_total") {
       violations = sample.value;

@@ -8,7 +8,6 @@
 
 #include "obs/hdr.h"
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "obs/slo.h"
 
 namespace cadet::obs {
@@ -155,7 +154,7 @@ TEST(SloEngine, RatioRuleUsesCounterDeltas) {
 
 TEST(SloEngine, CounterRateIsPerSecond) {
   Registry registry;
-  ShardedCounter& drops = registry.sharded_counter("drops");
+  Counter& drops = registry.counter("drops");
   SloEngine engine(&registry);
   engine.add_rule(*parse_slo_rule("rate:spike:drops:0:100:1"));
 

@@ -1,7 +1,9 @@
 # Chains cadet_sim --adversary-mix into cadet_report --check --adversary:
 # the hostile trace must yield a policed-attacker section that passes the
 # defense checks, and an all-honest trace must FAIL the same checks (the
-# negative leg — a report that cannot tell the two apart is useless).
+# negative leg — a report that cannot tell the two apart is useless). The
+# sharded leg runs the flooder and bad-uploader mix on ScaleWorld through
+# the same report, with its metrics joined.
 # Invoked by the cli_cadet_report_adversary test with -DSIM=<binary>,
 # -DREPORT=<binary> and -DOUT=<scratch dir>.
 execute_process(
@@ -31,4 +33,22 @@ execute_process(
   RESULT_VARIABLE r4 ERROR_QUIET)
 if(r4 EQUAL 0)
   message(FATAL_ERROR "--check --adversary passed on an all-honest trace")
+endif()
+execute_process(
+  COMMAND ${SIM} --scale --clients 8000 --duration 6 --seed 11 --shards 2
+          --scale-flooders 0.01 --scale-bad 0.2
+          --trace-out ${OUT}/adv_scale_trace.jsonl
+          --metrics-out ${OUT}/adv_scale_metrics.txt
+  RESULT_VARIABLE r5 OUTPUT_QUIET)
+if(NOT r5 EQUAL 0)
+  message(FATAL_ERROR "cadet_sim --scale adversary run failed (${r5})")
+endif()
+execute_process(
+  COMMAND ${REPORT} ${OUT}/adv_scale_trace.jsonl
+          --metrics ${OUT}/adv_scale_metrics.txt --check --adversary
+          --out ${OUT}/adv_scale_report.txt
+  RESULT_VARIABLE r6)
+if(NOT r6 EQUAL 0)
+  message(FATAL_ERROR
+    "--check --adversary failed on a hostile scale trace (${r6})")
 endif()

@@ -4,19 +4,25 @@
 // policing timeline — as text (stdout / --out) and as a self-contained
 // HTML page (--html).
 //
+// Every execution path (the per-node World, the sharded ScaleWorld, the
+// UDP runner) emits one trace and metric vocabulary, so one pipeline reads
+// any run: sections render from what the trace holds (the shard section
+// when events carry a `shard` stream attribute, the policed-clients
+// section when there are policing events).
+//
 // The report is reconstructed from the trace alone; when a Prometheus
-// snapshot (cadet_sim --metrics-out) is also given, the trace-derived
-// cache numbers are cross-checked against the counters and --check makes
-// any disagreement fatal. That closes the loop on the span plumbing: if a
-// serve path ever stops emitting its span, the report and the counters
-// drift apart and CI notices.
+// snapshot (cadet_sim --metrics-out) is also given, each row of kJoinRows
+// pairs a trace event with the counter family that counts the same fact,
+// and --check makes any disagreement fatal. That closes the loop on the
+// span plumbing: if a serve path ever stops emitting its event, the report
+// and the counters drift apart and CI notices.
 //
 // Examples:
 //   cadet_sim --duration 120 --trace-out t.jsonl --metrics-out m.prom
 //   cadet_report t.jsonl --metrics m.prom --check
 //   cadet_report t.jsonl --html report.html
 //   cadet_sim --adversary-mix free-riders --trace-out adv.jsonl
-//   cadet_report adv.jsonl --check --adversary
+//   cadet_report adv.jsonl --adversary
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -43,8 +49,7 @@ struct Options {
   std::string html_path;     // optional HTML report
   std::string out_path;      // optional text report file ("" = stdout)
   bool check = false;        // trace/metrics disagreement is fatal
-  bool adversary = false;    // hostile-client policing section
-  bool scale = false;        // sharded-world section (--scale traces)
+  bool adversary = false;    // the defense claims must hold
   std::string validate_path;  // standalone exposition lint (no trace)
 };
 
@@ -55,15 +60,9 @@ void usage(const char* argv0) {
       "  --metrics FILE  Prometheus snapshot to join (cadet_sim"
       " --metrics-out)\n"
       "  --check         exit non-zero if trace and metrics disagree\n"
-      "  --adversary     add the hostile-client section: per-attacker\n"
-      "                  policing timelines + honest-vs-hostile service\n"
-      "                  split; with --check, exit non-zero unless the\n"
-      "                  attackers were policed (see docs/ADVERSARIES.md)\n"
-      "  --scale         add the sharded-world section for cadet_sim\n"
-      "                  --scale traces: shard load-imbalance table,\n"
-      "                  per-shard fulfillment percentiles, and the\n"
-      "                  boundary crossing-latency heatmap; the metrics\n"
-      "                  cross-check joins the cadet_scale_* counters\n"
+      "  --adversary     exit non-zero unless the trace shows attackers\n"
+      "                  policed and served worse than honest clients\n"
+      "                  (see docs/ADVERSARIES.md)\n"
       "  --html FILE     also write a self-contained HTML report\n"
       "  --out FILE      write the text report to FILE instead of stdout\n"
       "  --validate-metrics FILE  parse a Prometheus exposition (e.g. a\n"
@@ -90,8 +89,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.check = true;
     } else if (arg == "--adversary") {
       opt.adversary = true;
-    } else if (arg == "--scale") {
-      opt.scale = true;
     } else if (arg == "--html") {
       opt.html_path = next();
     } else if (arg == "--out") {
@@ -156,20 +153,18 @@ struct TraceDigest {
   double first_ts = 0.0;
   double last_ts = 0.0;
 
+  /// Events per (tier, name): the trace side of every count the report
+  /// prints and joins.
+  std::map<std::pair<std::string, std::string>, std::uint64_t> events;
+  std::uint64_t count(const char* tier, const char* name) const {
+    const auto it = events.find({tier, name});
+    return it == events.end() ? 0 : it->second;
+  }
+
   std::vector<RequestTrace> requests;
-  std::map<std::string, std::uint64_t> refill_outcomes;
-  std::uint64_t uploads = 0;       // client upload roots
-  std::uint64_t bulk_uploads = 0;  // edge-to-server aggregates
 
-  // Edge serve decisions (trace-derived cache truth).
-  std::uint64_t edge_requests = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t e2e_forwards = 0;
-
-  // Policing events over time (edge + any tier that emits them), with the
-  // device they hit — penalty_drop / sanity_reject on the upload path,
-  // heavy_deny on the request path.
+  // Policing events over time, with the client they hit — penalty_drop /
+  // sanity_reject on the upload path, heavy_deny on the request path.
   struct Policing {
     double ts_s;
     std::string name;  // penalty_drop | sanity_reject | heavy_deny
@@ -191,19 +186,15 @@ struct TraceDigest {
   };
   std::vector<SloTransition> slo_transitions;
 
-  // Sharded-world (cadet_sim --scale) data: every scale event carries a
-  // `shard` stream attribute; fulfilled requests carry the edge-local
-  // fulfillment latency, and net-tier cross_* events carry the boundary
-  // crossing latency.
-  struct ScaleShard {
+  // Sharded runs stamp every event with its stream's `shard`; replies
+  // carry the fulfillment latency, and net-tier cross_* events carry the
+  // boundary crossing latency.
+  struct ShardRow {
     std::uint64_t events = 0;
     util::Samples fulfill_s;
   };
-  std::map<std::uint64_t, ScaleShard> scale_shards;
-  std::vector<std::pair<double, double>> scale_crossings;  // {ts, latency}
-  std::uint64_t scale_requests = 0;   // 'B' request roots
-  std::uint64_t scale_fulfilled = 0;
-  std::uint64_t scale_cache_misses = 0;
+  std::map<std::uint64_t, ShardRow> shards;
+  std::vector<std::pair<double, double>> crossings;  // {ts, latency}
 };
 
 bool digest_trace(const std::string& path, TraceDigest& digest) {
@@ -229,6 +220,7 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
     digest.last_ts = event->ts_s;
     ++digest.total_events;
     const auto& e = *event;
+    ++digest.events[{e.tier, e.name}];
 
     if (e.name == "request" && e.tier == "client" && e.phase == 'B') {
       RequestTrace req;
@@ -249,24 +241,11 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
       if (it != open_requests.end()) ++it->second.retries;
     } else if (e.name == "cache_hit" || e.name == "cache_miss" ||
                e.name == "e2e_forward") {
-      if (e.name == "cache_hit") ++digest.cache_hits;
-      if (e.name == "cache_miss") ++digest.cache_misses;
-      if (e.name == "e2e_forward") ++digest.e2e_forwards;
       const auto it = open_requests.find(e.trace);
       if (it != open_requests.end() && it->second.serve_path.empty()) {
         it->second.serve_path =
             e.name == "e2e_forward" ? "e2e" : e.name;
       }
-    } else if (e.name == "request" && e.tier == "edge") {
-      ++digest.edge_requests;
-    } else if (e.tier == "edge" &&
-               (e.name == "refill_data" || e.name == "refill_retry" ||
-                e.name == "refill_lost")) {
-      ++digest.refill_outcomes[e.name];
-    } else if (e.name == "upload" && e.tier == "client") {
-      ++digest.uploads;
-    } else if (e.name == "bulk_upload") {
-      ++digest.bulk_uploads;
     } else if (e.name == "penalty_drop" || e.name == "sanity_reject" ||
                e.name == "heavy_deny") {
       digest.policing.push_back(
@@ -279,28 +258,21 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
                                         e.attr("limit", 0.0)});
     }
     // Provenance attrs ride both serve kinds (hit at request time,
-    // delivery at drain time).
-    if (e.name == "delivery" || e.name == "cache_hit") {
+    // delivery at drain time) where the edge tracks source batches.
+    if ((e.name == "delivery" || e.name == "cache_hit") &&
+        e.attr("src_lo", -1.0) >= 0.0) {
       digest.delivery_gen_lo.add(e.attr("src_lo", 0.0));
       digest.delivery_gen_hi.add(e.attr("src_hi", 0.0));
     }
 
-    // Sharded-world traces stamp every event with its stream's shard.
     const double shard_attr = e.attr("shard", -1.0);
     if (shard_attr >= 0.0) {
-      auto& row = digest.scale_shards[static_cast<std::uint64_t>(shard_attr)];
+      auto& row = digest.shards[static_cast<std::uint64_t>(shard_attr)];
       ++row.events;
-      if (e.tier == "client" && e.name == "fulfilled") {
+      if (e.tier == "client" && e.name == "reply") {
         row.fulfill_s.add(e.attr("latency_s", 0.0));
-        ++digest.scale_fulfilled;
-      } else if (e.tier == "client" && e.name == "request" &&
-                 e.phase == 'B') {
-        ++digest.scale_requests;
-      } else if (e.name == "cache_miss") {
-        ++digest.scale_cache_misses;
       } else if (e.tier == "net") {
-        digest.scale_crossings.emplace_back(e.ts_s,
-                                            e.attr("latency_s", 0.0));
+        digest.crossings.emplace_back(e.ts_s, e.attr("latency_s", 0.0));
       }
     }
   }
@@ -316,17 +288,13 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
 /// Metrics-side truth pulled from a Prometheus snapshot.
 struct MetricsDigest {
   bool loaded = false;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t requests_received = 0;
-  std::uint64_t e2e_forwarded = 0;
   std::size_t samples = 0;
-
-  // Sharded-world counters (cadet_sim --scale exports); joined against the
-  // trace under --scale instead of the per-node edge counters above.
-  std::uint64_t scale_requests = 0;
-  std::uint64_t scale_fulfilled = 0;
-  std::uint64_t scale_cache_misses = 0;
+  /// Sample name -> value summed over every label set.
+  std::map<std::string, double> totals;
+  std::uint64_t counter(const char* family) const {
+    const auto it = totals.find(std::string(family) + "_total");
+    return it == totals.end() ? 0 : static_cast<std::uint64_t>(it->second);
+  }
 
   // Quantiles recovered from the cadet_fulfillment_seconds HDR histogram's
   // _bucket series (upper-edge estimates — exact to the HDR cell width).
@@ -416,24 +384,58 @@ bool digest_metrics(const std::string& path, MetricsDigest& digest) {
   }
   digest.samples = parsed.samples.size();
   for (const auto& sample : parsed.samples) {
-    const auto add = [&](const char* name, std::uint64_t& into) {
-      if (sample.name == name) {
-        into += static_cast<std::uint64_t>(sample.value);
-      }
-    };
-    add("cadet_edge_cache_hits_total", digest.cache_hits);
-    add("cadet_edge_cache_misses_total", digest.cache_misses);
-    add("cadet_edge_requests_received_total", digest.requests_received);
-    add("cadet_edge_e2e_forwarded_total", digest.e2e_forwarded);
-    add("cadet_scale_requests_total", digest.scale_requests);
-    add("cadet_scale_fulfilled_total", digest.scale_fulfilled);
-    add("cadet_scale_cache_misses_total", digest.scale_cache_misses);
+    digest.totals[sample.name] += sample.value;
   }
   digest.fulfillment =
       hdr_quantiles_of(parsed.samples, "cadet_fulfillment_seconds");
   digest.loaded = true;
   return true;
 }
+
+/// The trace-vs-metrics join: each row pairs a trace event with the counter
+/// family that counts the same fact, under the names every path uses. A
+/// row a run never exercises (e2e forwards on ScaleWorld, which has no
+/// end-to-end mode) agrees at zero.
+struct JoinRow {
+  const char* label;
+  const char* tier;    // trace event tier
+  const char* event;   // trace event name
+  const char* family;  // counter family
+};
+constexpr JoinRow kJoinRows[] = {
+    {"requests", "client", "request", "cadet_client_requests_sent"},
+    {"fulfilled", "client", "reply", "cadet_client_requests_fulfilled"},
+    {"edge requests", "edge", "request", "cadet_edge_requests_received"},
+    {"cache hits", "edge", "cache_hit", "cadet_edge_cache_hits"},
+    {"cache misses", "edge", "cache_miss", "cadet_edge_cache_misses"},
+    {"e2e forwards", "edge", "e2e_forward", "cadet_edge_e2e_forwarded"},
+};
+
+struct JoinResult {
+  const char* label;
+  std::uint64_t trace;
+  std::uint64_t metrics;
+};
+
+std::vector<JoinResult> join(const TraceDigest& digest,
+                             const MetricsDigest& metrics) {
+  std::vector<JoinResult> rows;
+  for (const JoinRow& row : kJoinRows) {
+    rows.push_back({row.label, digest.count(row.tier, row.event),
+                    metrics.counter(row.family)});
+  }
+  return rows;
+}
+
+std::uint64_t mismatches_of(const std::vector<JoinResult>& rows) {
+  std::uint64_t n = 0;
+  for (const JoinResult& row : rows) n += row.trace != row.metrics ? 1 : 0;
+  return n;
+}
+
+/// Edge-tier refill span outcomes, in report order.
+constexpr const char* kRefillOutcomes[] = {"refill_data", "refill_retry",
+                                           "refill_lost"};
 
 struct LatencyRow {
   std::string label;
@@ -447,11 +449,7 @@ std::vector<LatencyRow> latency_rows(const TraceDigest& digest) {
   std::map<std::string, util::Samples> by_path;
   util::Samples all;
   for (const auto& req : digest.requests) {
-    // "reply" is the single-node engine's close; "fulfilled" the scale one.
-    if (!req.closed ||
-        (req.outcome != "reply" && req.outcome != "fulfilled")) {
-      continue;
-    }
+    if (!req.closed || req.outcome != "reply") continue;
     all.add(req.latency_s());
     const std::string path =
         req.serve_path.empty() ? "(direct)" : req.serve_path;
@@ -488,13 +486,11 @@ struct Funnel {
 void funnel_add(Funnel& f, const RequestTrace& req) {
   ++f.sent;
   if (req.retries > 0) ++f.retried;
-  // reply/request_expired are the single-node engine's close names,
-  // fulfilled/expired the sharded engine's.
-  if (req.outcome == "reply" || req.outcome == "fulfilled") {
+  if (req.outcome == "reply") {
     (req.retries > 0 ? f.retry_reply : f.first_try) += 1;
   } else if (req.outcome == "fallback") {
     ++f.fallback;
-  } else if (req.outcome == "request_expired" || req.outcome == "expired") {
+  } else if (req.outcome == "request_expired") {
     ++f.expired;
   } else {
     ++f.open;
@@ -512,7 +508,7 @@ double ratio(std::uint64_t part, std::uint64_t whole) {
                     : static_cast<double>(part) / static_cast<double>(whole);
 }
 
-// ---- adversary section (--adversary) ----
+// ---- policed-clients section (and the --adversary claims) ----
 
 /// A client is called hostile once it was denied as a heavy user at least
 /// once or accumulated this many upload-policing events. Honest devices do
@@ -601,8 +597,8 @@ std::string spark_of(const std::vector<std::uint64_t>& buckets,
   return out;
 }
 
-/// The defense claims --check enforces on an --adversary report. Empty
-/// means the trace shows the economics holding.
+/// The defense claims --adversary asserts. Empty means the trace shows the
+/// economics holding.
 std::vector<std::string> adversary_problems(const AdversarySection& s) {
   std::vector<std::string> problems;
   if (s.rows.empty()) {
@@ -666,34 +662,28 @@ std::vector<TimelineBucket> policing_timeline(const TraceDigest& digest,
   return timeline;
 }
 
-// ---- sharded-world section (--scale) ----
+// ---- shard section (traces whose events carry `shard`) ----
 
 /// Shard load-imbalance table + per-shard fulfillment percentiles + the
 /// boundary crossing-latency heatmap, reconstructed from the shard/seq
-/// stream attributes a cadet_sim --scale trace carries.
-void scale_section(const TraceDigest& digest, std::string& out) {
+/// stream attributes a sharded run's trace carries.
+void shard_section(const TraceDigest& digest, std::string& out) {
   char buf[256];
   const auto add = [&](const char* fmt, auto... args) {
     std::snprintf(buf, sizeof(buf), fmt, args...);
     out += buf;
   };
 
-  if (digest.scale_shards.empty()) {
-    out += "\n--- scale ---\n(no shard-tagged events; expected a trace "
-           "from cadet_sim --scale --trace-out)\n";
-    return;
-  }
-
   // Stream ids: 0..E-1 are edge shards, E is the server stream, E+1 the
   // window-boundary stream (obs/shard_obs.h).
-  const std::uint64_t boundary_id = digest.scale_shards.rbegin()->first;
+  const std::uint64_t boundary_id = digest.shards.rbegin()->first;
   const std::uint64_t server_id = boundary_id > 0 ? boundary_id - 1 : 0;
 
   std::uint64_t edge_total = 0;
   std::uint64_t edge_min = ~0ULL;
   std::uint64_t edge_max = 0;
   std::size_t edges = 0;
-  for (const auto& [shard, row] : digest.scale_shards) {
+  for (const auto& [shard, row] : digest.shards) {
     if (shard >= server_id) continue;
     ++edges;
     edge_total += row.events;
@@ -704,7 +694,7 @@ void scale_section(const TraceDigest& digest, std::string& out) {
       edges > 0 ? static_cast<double>(edge_total) / static_cast<double>(edges)
                 : 0.0;
 
-  add("\n--- scale: shard load ---\n");
+  add("\n--- shard load ---\n");
   add("%zu edge shard(s) + server + boundary streams, %llu edge events\n",
       edges, static_cast<unsigned long long>(edge_total));
   if (edges > 0) {
@@ -716,8 +706,8 @@ void scale_section(const TraceDigest& digest, std::string& out) {
   }
 
   // Per-shard table: everything when small, the busiest tail when huge.
-  std::vector<std::pair<std::uint64_t, const TraceDigest::ScaleShard*>> rows;
-  for (const auto& [shard, row] : digest.scale_shards) {
+  std::vector<std::pair<std::uint64_t, const TraceDigest::ShardRow*>> rows;
+  for (const auto& [shard, row] : digest.shards) {
     if (shard < server_id) rows.emplace_back(shard, &row);
   }
   const std::size_t limit = 32;
@@ -745,13 +735,13 @@ void scale_section(const TraceDigest& digest, std::string& out) {
     add("\n");
   }
   {
-    const auto server_it = digest.scale_shards.find(server_id);
-    const auto boundary_it = digest.scale_shards.find(boundary_id);
-    if (server_it != digest.scale_shards.end() && boundary_id != server_id) {
+    const auto server_it = digest.shards.find(server_id);
+    const auto boundary_it = digest.shards.find(boundary_id);
+    if (server_it != digest.shards.end() && boundary_id != server_id) {
       add("  server stream  events %8llu, boundary stream  events %8llu\n",
           static_cast<unsigned long long>(server_it->second.events),
           static_cast<unsigned long long>(
-              boundary_it != digest.scale_shards.end()
+              boundary_it != digest.shards.end()
                   ? boundary_it->second.events
                   : 0));
     }
@@ -760,10 +750,10 @@ void scale_section(const TraceDigest& digest, std::string& out) {
   // Boundary crossing-latency heatmap: time buckets down, latency bins
   // across, shaded by count. Crossings live in [window, window + jitter]
   // (~8-18 ms), so the bins resolve the jitter distribution over the run.
-  if (!digest.scale_crossings.empty()) {
-    double lat_lo = digest.scale_crossings[0].second;
+  if (!digest.crossings.empty()) {
+    double lat_lo = digest.crossings[0].second;
     double lat_hi = lat_lo;
-    for (const auto& [ts, lat] : digest.scale_crossings) {
+    for (const auto& [ts, lat] : digest.crossings) {
       lat_lo = std::min(lat_lo, lat);
       lat_hi = std::max(lat_hi, lat);
     }
@@ -773,7 +763,7 @@ void scale_section(const TraceDigest& digest, std::string& out) {
     constexpr std::size_t kCols = 10;
     std::uint64_t cells[kRows][kCols] = {};
     const double lat_span = std::max(lat_hi - lat_lo, 1e-12);
-    for (const auto& [ts, lat] : digest.scale_crossings) {
+    for (const auto& [ts, lat] : digest.crossings) {
       std::size_t r = static_cast<std::size_t>((ts - t0) / (t1 - t0) *
                                                static_cast<double>(kRows));
       std::size_t c = static_cast<std::size_t>(
@@ -787,9 +777,9 @@ void scale_section(const TraceDigest& digest, std::string& out) {
       for (const std::uint64_t n : row) peak = std::max(peak, n);
     }
     static const char kShades[] = " .:-=+*#%@";
-    add("\n--- scale: boundary crossing latency heatmap ---\n");
+    add("\n--- boundary crossing latency heatmap ---\n");
     add("%zu crossing(s), latency %.2f .. %.2f ms, peak cell %llu\n",
-        digest.scale_crossings.size(), lat_lo * 1e3, lat_hi * 1e3,
+        digest.crossings.size(), lat_lo * 1e3, lat_hi * 1e3,
         static_cast<unsigned long long>(peak));
     add("%16s %.2f ms %*s %.2f ms\n", "", lat_lo * 1e3,
         static_cast<int>(kCols) - 8, "", lat_hi * 1e3);
@@ -815,9 +805,8 @@ void scale_section(const TraceDigest& digest, std::string& out) {
 
 std::string text_report(const TraceDigest& digest,
                         const MetricsDigest& metrics,
-                        std::uint64_t mismatches,
-                        const AdversarySection* adversary,
-                        bool scale) {
+                        const std::vector<JoinResult>& joined,
+                        const AdversarySection& adversary) {
   std::string out;
   char buf[256];
   const auto add = [&](const char* fmt, auto... args) {
@@ -864,24 +853,30 @@ std::string text_report(const TraceDigest& digest,
         metrics.fulfillment.count);
   }
 
+  const std::uint64_t edge_requests = digest.count("edge", "request");
+  const std::uint64_t cache_hits = digest.count("edge", "cache_hit");
   add("\n--- edge cache ---\n");
   add("requests %llu, served from cache %llu, hit ratio %.4f\n",
-      static_cast<unsigned long long>(digest.edge_requests),
-      static_cast<unsigned long long>(digest.cache_hits),
-      ratio(digest.cache_hits, digest.edge_requests));
+      static_cast<unsigned long long>(edge_requests),
+      static_cast<unsigned long long>(cache_hits),
+      ratio(cache_hits, edge_requests));
   add("misses %llu, e2e forwards %llu\n",
-      static_cast<unsigned long long>(digest.cache_misses),
-      static_cast<unsigned long long>(digest.e2e_forwards));
-  for (const auto& [name, n] : digest.refill_outcomes) {
-    add("  %-14s %8llu\n", name.c_str(),
-        static_cast<unsigned long long>(n));
+      static_cast<unsigned long long>(digest.count("edge", "cache_miss")),
+      static_cast<unsigned long long>(digest.count("edge", "e2e_forward")));
+  for (const char* outcome : kRefillOutcomes) {
+    const std::uint64_t n = digest.count("edge", outcome);
+    if (n > 0) {
+      add("  %-14s %8llu\n", outcome, static_cast<unsigned long long>(n));
+    }
   }
 
-  if (digest.uploads + digest.bulk_uploads > 0) {
+  const std::uint64_t uploads = digest.count("client", "upload");
+  const std::uint64_t bulk_uploads = digest.count("edge", "bulk_upload");
+  if (uploads + bulk_uploads > 0) {
     add("\n--- uploads ---\n");
     add("client uploads %llu, bulk aggregates %llu\n",
-        static_cast<unsigned long long>(digest.uploads),
-        static_cast<unsigned long long>(digest.bulk_uploads));
+        static_cast<unsigned long long>(uploads),
+        static_cast<unsigned long long>(bulk_uploads));
   }
 
   const auto timeline = policing_timeline(digest);
@@ -895,16 +890,13 @@ std::string text_report(const TraceDigest& digest,
     }
   }
 
-  if (adversary != nullptr) {
-    add("\n--- adversary: policed clients ---\n");
-    if (adversary->rows.empty()) {
-      add("(no policing events in trace)\n");
-    }
+  if (!adversary.rows.empty()) {
+    add("\n--- policed clients ---\n");
     std::uint64_t peak = 1;
-    for (const auto& row : adversary->rows) {
+    for (const auto& row : adversary.rows) {
       for (const std::uint64_t n : row.buckets) peak = std::max(peak, n);
     }
-    for (const auto& row : adversary->rows) {
+    for (const auto& row : adversary.rows) {
       add("client %6llu [%s] |%s| penalty %5llu sanity %5llu heavy %5llu"
           "  %.1f..%.1f s\n",
           static_cast<unsigned long long>(row.client),
@@ -916,19 +908,19 @@ std::string text_report(const TraceDigest& digest,
           row.last_ts);
     }
     const std::uint64_t honest_ok =
-        adversary->honest.first_try + adversary->honest.retry_reply;
+        adversary.honest.first_try + adversary.honest.retry_reply;
     const std::uint64_t hostile_ok =
-        adversary->hostile.first_try + adversary->hostile.retry_reply;
+        adversary.hostile.first_try + adversary.hostile.retry_reply;
     add("service split: honest %zu client(s) %llu/%llu fulfilled (%.1f%%)"
         ", hostile %zu client(s) %llu/%llu fulfilled (%.1f%%)\n",
-        adversary->honest_clients,
+        adversary.honest_clients,
         static_cast<unsigned long long>(honest_ok),
-        static_cast<unsigned long long>(adversary->honest.sent),
-        100.0 * ratio(honest_ok, adversary->honest.sent),
-        adversary->hostile_clients,
+        static_cast<unsigned long long>(adversary.honest.sent),
+        100.0 * ratio(honest_ok, adversary.honest.sent),
+        adversary.hostile_clients,
         static_cast<unsigned long long>(hostile_ok),
-        static_cast<unsigned long long>(adversary->hostile.sent),
-        100.0 * ratio(hostile_ok, adversary->hostile.sent));
+        static_cast<unsigned long long>(adversary.hostile.sent),
+        100.0 * ratio(hostile_ok, adversary.hostile.sent));
   }
 
   if (!digest.slo_transitions.empty()) {
@@ -946,35 +938,17 @@ std::string text_report(const TraceDigest& digest,
         digest.delivery_gen_hi.max());
   }
 
-  if (scale) scale_section(digest, out);
+  if (!digest.shards.empty()) shard_section(digest, out);
 
   if (metrics.loaded) {
     add("\n--- trace vs metrics ---\n");
     add("%-22s %12s %12s\n", "", "trace", "metrics");
-    if (scale) {
-      add("%-22s %12llu %12llu\n", "requests",
-          static_cast<unsigned long long>(digest.scale_requests),
-          static_cast<unsigned long long>(metrics.scale_requests));
-      add("%-22s %12llu %12llu\n", "fulfilled",
-          static_cast<unsigned long long>(digest.scale_fulfilled),
-          static_cast<unsigned long long>(metrics.scale_fulfilled));
-      add("%-22s %12llu %12llu\n", "cache misses",
-          static_cast<unsigned long long>(digest.scale_cache_misses),
-          static_cast<unsigned long long>(metrics.scale_cache_misses));
-    } else {
-      add("%-22s %12llu %12llu\n", "edge requests",
-          static_cast<unsigned long long>(digest.edge_requests),
-          static_cast<unsigned long long>(metrics.requests_received));
-      add("%-22s %12llu %12llu\n", "cache hits",
-          static_cast<unsigned long long>(digest.cache_hits),
-          static_cast<unsigned long long>(metrics.cache_hits));
-      add("%-22s %12llu %12llu\n", "cache misses",
-          static_cast<unsigned long long>(digest.cache_misses),
-          static_cast<unsigned long long>(metrics.cache_misses));
-      add("%-22s %12llu %12llu\n", "e2e forwards",
-          static_cast<unsigned long long>(digest.e2e_forwards),
-          static_cast<unsigned long long>(metrics.e2e_forwarded));
+    for (const JoinResult& row : joined) {
+      add("%-22s %12llu %12llu\n", row.label,
+          static_cast<unsigned long long>(row.trace),
+          static_cast<unsigned long long>(row.metrics));
     }
+    const std::uint64_t mismatches = mismatches_of(joined);
     add(mismatches == 0 ? "trace and metrics agree\n"
                         : "MISMATCH in %llu row(s)\n",
         static_cast<unsigned long long>(mismatches));
@@ -997,8 +971,8 @@ void html_escape(std::string& out, const std::string& text) {
 
 std::string html_report(const TraceDigest& digest,
                         const MetricsDigest& metrics,
-                        std::uint64_t mismatches,
-                        const AdversarySection* adversary,
+                        const std::vector<JoinResult>& joined,
+                        const AdversarySection& adversary,
                         const std::string& trace_path) {
   std::string out;
   char buf[512];
@@ -1078,19 +1052,20 @@ std::string html_report(const TraceDigest& digest,
 
   out += "<h2>Edge cache</h2>\n<table>\n"
          "<tr><th class=l>measure</th><th>value</th></tr>\n";
-  add("<tr><td class=l>requests</td><td>%llu</td></tr>\n",
-      static_cast<unsigned long long>(digest.edge_requests));
-  add("<tr><td class=l>cache hits</td><td>%llu</td></tr>\n",
-      static_cast<unsigned long long>(digest.cache_hits));
-  add("<tr><td class=l>cache misses</td><td>%llu</td></tr>\n",
-      static_cast<unsigned long long>(digest.cache_misses));
-  add("<tr><td class=l>e2e forwards</td><td>%llu</td></tr>\n",
-      static_cast<unsigned long long>(digest.e2e_forwards));
-  add("<tr><td class=l>hit ratio</td><td>%.4f</td></tr>\n",
-      ratio(digest.cache_hits, digest.edge_requests));
-  for (const auto& [name, n] : digest.refill_outcomes) {
-    add("<tr><td class=l>%s</td><td>%llu</td></tr>\n", name.c_str(),
+  const auto measure_row = [&](const char* label, std::uint64_t n) {
+    add("<tr><td class=l>%s</td><td>%llu</td></tr>\n", label,
         static_cast<unsigned long long>(n));
+  };
+  measure_row("requests", digest.count("edge", "request"));
+  measure_row("cache hits", digest.count("edge", "cache_hit"));
+  measure_row("cache misses", digest.count("edge", "cache_miss"));
+  measure_row("e2e forwards", digest.count("edge", "e2e_forward"));
+  add("<tr><td class=l>hit ratio</td><td>%.4f</td></tr>\n",
+      ratio(digest.count("edge", "cache_hit"),
+            digest.count("edge", "request")));
+  for (const char* outcome : kRefillOutcomes) {
+    const std::uint64_t n = digest.count("edge", outcome);
+    if (n > 0) measure_row(outcome, n);
   }
   out += "</table>\n";
 
@@ -1115,68 +1090,58 @@ std::string html_report(const TraceDigest& digest,
     out += "</table>\n";
   }
 
-  if (adversary != nullptr) {
-    out += "<h2>Adversary: policed clients</h2>\n";
-    if (adversary->rows.empty()) {
-      out += "<p>(no policing events in trace)</p>\n";
-    } else {
-      std::uint64_t peak = 1;
-      for (const auto& row : adversary->rows) {
-        peak = std::max(peak, row.total());
-      }
-      out += "<table>\n<tr><th class=l>client</th><th class=l>class</th>"
-             "<th>penalty drops</th><th>sanity rejects</th>"
-             "<th>heavy denials</th><th class=l>window (s)</th>"
-             "<th class=l></th></tr>\n";
-      for (const auto& row : adversary->rows) {
-        add("<tr><td class=l>%llu</td><td class=l>%s</td><td>%llu</td>"
-            "<td>%llu</td><td>%llu</td><td class=l>%.1f&ndash;%.1f</td>"
-            "<td class=l><span class=bar style=\"width:%.0fpx\"></span>"
-            "</td></tr>\n",
-            static_cast<unsigned long long>(row.client),
-            row.hostile() ? "<span class=bad>hostile</span>"
-                          : "<span class=ok>honest</span>",
-            static_cast<unsigned long long>(row.penalty),
-            static_cast<unsigned long long>(row.sanity),
-            static_cast<unsigned long long>(row.heavy), row.first_ts,
-            row.last_ts, 150.0 * ratio(row.total(), peak));
-      }
-      out += "</table>\n";
+  if (!adversary.rows.empty()) {
+    out += "<h2>Policed clients</h2>\n";
+    std::uint64_t peak = 1;
+    for (const auto& row : adversary.rows) {
+      peak = std::max(peak, row.total());
     }
+    out += "<table>\n<tr><th class=l>client</th><th class=l>class</th>"
+           "<th>penalty drops</th><th>sanity rejects</th>"
+           "<th>heavy denials</th><th class=l>window (s)</th>"
+           "<th class=l></th></tr>\n";
+    for (const auto& row : adversary.rows) {
+      add("<tr><td class=l>%llu</td><td class=l>%s</td><td>%llu</td>"
+          "<td>%llu</td><td>%llu</td><td class=l>%.1f&ndash;%.1f</td>"
+          "<td class=l><span class=bar style=\"width:%.0fpx\"></span>"
+          "</td></tr>\n",
+          static_cast<unsigned long long>(row.client),
+          row.hostile() ? "<span class=bad>hostile</span>"
+                        : "<span class=ok>honest</span>",
+          static_cast<unsigned long long>(row.penalty),
+          static_cast<unsigned long long>(row.sanity),
+          static_cast<unsigned long long>(row.heavy), row.first_ts,
+          row.last_ts, 150.0 * ratio(row.total(), peak));
+    }
+    out += "</table>\n";
     const std::uint64_t honest_ok =
-        adversary->honest.first_try + adversary->honest.retry_reply;
+        adversary.honest.first_try + adversary.honest.retry_reply;
     const std::uint64_t hostile_ok =
-        adversary->hostile.first_try + adversary->hostile.retry_reply;
+        adversary.hostile.first_try + adversary.hostile.retry_reply;
     add("<p>service split: honest %zu client(s) %llu/%llu fulfilled"
         " (%.1f%%), hostile %zu client(s) %llu/%llu fulfilled"
         " (%.1f%%)</p>\n",
-        adversary->honest_clients,
+        adversary.honest_clients,
         static_cast<unsigned long long>(honest_ok),
-        static_cast<unsigned long long>(adversary->honest.sent),
-        100.0 * ratio(honest_ok, adversary->honest.sent),
-        adversary->hostile_clients,
+        static_cast<unsigned long long>(adversary.honest.sent),
+        100.0 * ratio(honest_ok, adversary.honest.sent),
+        adversary.hostile_clients,
         static_cast<unsigned long long>(hostile_ok),
-        static_cast<unsigned long long>(adversary->hostile.sent),
-        100.0 * ratio(hostile_ok, adversary->hostile.sent));
+        static_cast<unsigned long long>(adversary.hostile.sent),
+        100.0 * ratio(hostile_ok, adversary.hostile.sent));
   }
 
   if (metrics.loaded) {
     out += "<h2>Trace vs metrics</h2>\n<table>\n"
            "<tr><th class=l>measure</th><th>trace</th><th>metrics</th>"
            "</tr>\n";
-    const auto join_row = [&](const char* label, std::uint64_t t,
-                              std::uint64_t m) {
-      add("<tr><td class=l>%s</td><td>%llu</td><td>%llu</td></tr>\n", label,
-          static_cast<unsigned long long>(t),
-          static_cast<unsigned long long>(m));
-    };
-    join_row("edge requests", digest.edge_requests,
-             metrics.requests_received);
-    join_row("cache hits", digest.cache_hits, metrics.cache_hits);
-    join_row("cache misses", digest.cache_misses, metrics.cache_misses);
-    join_row("e2e forwards", digest.e2e_forwards, metrics.e2e_forwarded);
+    for (const JoinResult& row : joined) {
+      add("<tr><td class=l>%s</td><td>%llu</td><td>%llu</td></tr>\n",
+          row.label, static_cast<unsigned long long>(row.trace),
+          static_cast<unsigned long long>(row.metrics));
+    }
     out += "</table>\n";
-    out += mismatches == 0
+    out += mismatches_of(joined) == 0
                ? "<p class=ok>trace and metrics agree</p>\n"
                : "<p class=bad>trace and metrics DISAGREE</p>\n";
   }
@@ -1205,30 +1170,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::uint64_t mismatches = 0;
-  if (metrics.loaded) {
-    if (opt.scale) {
-      // Scale exports publish cadet_scale_* counters, not the per-node
-      // edge counters; join the trace against those instead.
-      if (digest.scale_requests != metrics.scale_requests) ++mismatches;
-      if (digest.scale_fulfilled != metrics.scale_fulfilled) ++mismatches;
-      if (digest.scale_cache_misses != metrics.scale_cache_misses) {
-        ++mismatches;
-      }
-    } else {
-      if (digest.edge_requests != metrics.requests_received) ++mismatches;
-      if (digest.cache_hits != metrics.cache_hits) ++mismatches;
-      if (digest.cache_misses != metrics.cache_misses) ++mismatches;
-      if (digest.e2e_forwards != metrics.e2e_forwarded) ++mismatches;
-    }
-  }
+  const std::vector<JoinResult> joined = join(digest, metrics);
+  const AdversarySection adversary = adversary_section_of(digest);
 
-  AdversarySection adversary;
-  if (opt.adversary) adversary = adversary_section_of(digest);
-  const AdversarySection* adv = opt.adversary ? &adversary : nullptr;
-
-  const std::string text =
-      text_report(digest, metrics, mismatches, adv, opt.scale);
+  const std::string text = text_report(digest, metrics, joined, adversary);
   if (opt.out_path.empty()) {
     std::fputs(text.c_str(), stdout);
   } else if (!obs::write_file(opt.out_path, text)) {
@@ -1237,20 +1182,21 @@ int main(int argc, char** argv) {
 
   if (!opt.html_path.empty()) {
     const std::string html =
-        html_report(digest, metrics, mismatches, adv, opt.trace_path);
+        html_report(digest, metrics, joined, adversary, opt.trace_path);
     if (!obs::write_file(opt.html_path, html)) return 2;
     std::fprintf(stderr, "html report -> %s\n", opt.html_path.c_str());
   }
 
   int rc = 0;
+  const std::uint64_t mismatches = mismatches_of(joined);
   if (opt.check && metrics.loaded && mismatches > 0) {
     std::fprintf(stderr, "cadet_report --check: %llu mismatch(es)\n",
                  static_cast<unsigned long long>(mismatches));
     rc = 1;
   }
-  if (opt.check && opt.adversary) {
+  if (opt.adversary) {
     for (const auto& problem : adversary_problems(adversary)) {
-      std::fprintf(stderr, "cadet_report --check --adversary: %s\n",
+      std::fprintf(stderr, "cadet_report --adversary: %s\n",
                    problem.c_str());
       rc = 1;
     }

@@ -622,11 +622,12 @@ int run_scale(const Options& opt) {
               static_cast<unsigned long long>(stats.expired));
   std::printf("  heavy denied      %llu\n",
               static_cast<unsigned long long>(stats.heavy_denied));
-  std::printf("uploads             %llu sent, %llu accepted, %llu rejected, "
-              "%llu blacklisted client(s)\n",
+  std::printf("uploads             %llu sent, %llu accepted, %llu penalty "
+              "drops, %llu sanity rejects, %llu blacklisted client(s)\n",
               static_cast<unsigned long long>(stats.uploads_sent),
               static_cast<unsigned long long>(stats.uploads_accepted),
-              static_cast<unsigned long long>(stats.uploads_rejected),
+              static_cast<unsigned long long>(stats.uploads_dropped_penalty),
+              static_cast<unsigned long long>(stats.uploads_rejected_sanity),
               static_cast<unsigned long long>(stats.blacklisted_clients));
   std::printf("boundary            %llu emitted = %llu injected, "
               "%llu refills, %llu upload forwards\n",

@@ -1,8 +1,8 @@
 # Chains the sharded observability exports end to end: the same seeded
 # cadet_sim --scale run at -j 1 and -j 4 must write byte-identical metrics
 # and trace files, cadet_trace must validate the merged {ts, seq, shard}
-# order and span trees of the folded stream, and cadet_report --scale
-# --check must reproduce the cadet_scale_* counters from the trace alone.
+# order and span trees of the folded stream, and cadet_report --check must
+# reproduce every join row's counter family from the trace alone.
 # Invoked by the cli_cadet_scale_obs test with -DSIM=<binary>,
 # -DTRACE=<binary>, -DREPORT=<binary> and -DOUT=<scratch dir>.
 set(RUN_FLAGS --scale --clients 20000 --duration 3 --seed 77
@@ -49,8 +49,8 @@ if(NOT r4 EQUAL 0)
 endif()
 execute_process(
   COMMAND ${REPORT} ${OUT}/scale_t4.jsonl --metrics ${OUT}/scale_m4.txt
-          --scale --check --out ${OUT}/scale_report.txt
+          --check --out ${OUT}/scale_report.txt
   RESULT_VARIABLE r5)
 if(NOT r5 EQUAL 0)
-  message(FATAL_ERROR "cadet_report --scale --check failed (${r5})")
+  message(FATAL_ERROR "cadet_report --check failed on the scale trace (${r5})")
 endif()
