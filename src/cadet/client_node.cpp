@@ -46,15 +46,6 @@ util::Bytes ClientNode::wire(Packet packet) {
   return encode(packet);
 }
 
-util::SimTime ClientNode::backoff_delay(util::SimTime base,
-                                        std::size_t attempt) {
-  const double scale = static_cast<double>(
-      std::uint64_t{1} << std::min<std::size_t>(attempt, 10));
-  const double jitter = 1.0 + 0.1 * (2.0 * rng_.uniform01() - 1.0);
-  return static_cast<util::SimTime>(static_cast<double>(base) * scale *
-                                    jitter);
-}
-
 std::vector<net::Outgoing> ClientNode::begin_init(util::SimTime now,
                                                   RegCallback on_complete) {
   on_init_complete_ = std::move(on_complete);
@@ -84,8 +75,8 @@ std::vector<net::Outgoing> ClientNode::send_init(util::SimTime now) {
 void ClientNode::schedule_init_retry() {
   if (!config_.timer) return;
   const std::size_t attempt = init_attempts_++;
-  if (attempt >= config_.max_reg_retries) return;
-  config_.timer(backoff_delay(config_.reg_retry_base, attempt),
+  if (attempt >= kMaxRegRetries) return;
+  config_.timer(backoff_delay(kRegRetryBaseNs, attempt, rng_.uniform01()),
                 [this](util::SimTime now) -> std::vector<net::Outgoing> {
                   if (initialized()) return {};
                   obs::emit(now, "init_retry", "client", config_.id, {});
@@ -122,8 +113,8 @@ std::vector<net::Outgoing> ClientNode::send_rereg(util::SimTime now) {
 void ClientNode::schedule_rereg_retry() {
   if (!config_.timer) return;
   const std::size_t attempt = rereg_attempts_++;
-  if (attempt >= config_.max_reg_retries) return;
-  config_.timer(backoff_delay(config_.reg_retry_base, attempt),
+  if (attempt >= kMaxRegRetries) return;
+  config_.timer(backoff_delay(kRegRetryBaseNs, attempt, rng_.uniform01()),
                 [this](util::SimTime now) -> std::vector<net::Outgoing> {
                   if (reregistered() || !csk_ || !token_) return {};
                   obs::emit(now, "rereg_retry", "client", config_.id, {});
@@ -168,7 +159,7 @@ std::vector<net::Outgoing> ClientNode::request_entropy(
 void ClientNode::schedule_request_retry(std::uint64_t request_id,
                                         std::size_t attempt) {
   if (!config_.timer) return;
-  config_.timer(backoff_delay(config_.request_retry_base, attempt),
+  config_.timer(backoff_delay(kRequestRetryBaseNs, attempt, rng_.uniform01()),
                 [this, request_id](util::SimTime now) {
                   return retry_request(request_id, now);
                 });
@@ -181,7 +172,7 @@ std::vector<net::Outgoing> ClientNode::retry_request(std::uint64_t request_id,
                    [&](const PendingRequest& r) { return r.id == request_id; });
   if (it == pending_.end()) return {};  // fulfilled or expired meanwhile
 
-  if (it->attempts >= config_.max_request_retries) {
+  if (it->attempts >= kMaxRequestRetries) {
     // Graceful degradation (Kietzmann et al.): the service is unreachable,
     // so answer from the local CSPRNG instead of blocking the consumer.
     PendingRequest req = std::move(*it);

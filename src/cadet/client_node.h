@@ -39,19 +39,13 @@ class ClientNode {
     /// Requests unanswered after this long are expired (their callback
     /// fires with empty data). UDP gives no delivery guarantee, so without
     /// expiry a lost packet would leak a pending entry forever. Checked
-    /// lazily; with a wired `timer` the retry/fallback chain normally
-    /// resolves a request well before this backstop.
+    /// lazily, on the client's next packet in or out. With a wired `timer`
+    /// the retry chain falls back at about 15 s (kMaxRequestRetries), so a
+    /// client with traffic between 10 s and 15 s expires the request first.
     util::SimTime request_timeout = 10 * util::kSecond;
     /// Timer hook for retransmission/backoff (testbed::World wires it to
     /// the simulator). Null = lazy expiry only, no retries.
     EngineTimer timer;
-    /// Request retransmissions before degrading to the local CSPRNG.
-    std::size_t max_request_retries = kMaxRequestRetries;
-    /// First retransmission delay; doubles per attempt with ±10 % jitter.
-    util::SimTime request_retry_base = kRequestRetryBaseNs;
-    /// Registration handshake re-issues before giving up.
-    std::size_t max_reg_retries = kMaxRegRetries;
-    util::SimTime reg_retry_base = kRegRetryBaseNs;
     /// Shared metrics registry (testbed::World wires its own). When null
     /// the node keeps a private registry, so standalone nodes (unit tests)
     /// stay isolated.
@@ -137,8 +131,6 @@ class ClientNode {
 
   /// Stamp the next tx sequence number and serialize.
   util::Bytes wire(Packet packet);
-  /// base * 2^attempt, jittered ±10 % (deterministic per seed).
-  util::SimTime backoff_delay(util::SimTime base, std::size_t attempt);
 
   std::vector<net::Outgoing> send_init(util::SimTime now);
   std::vector<net::Outgoing> send_rereg(util::SimTime now);

@@ -1,11 +1,13 @@
-// Shared engine plumbing: CPU-cycle metering and the sanity-check wrapper
-// with per-device payload history.
+// Shared engine plumbing: CPU-cycle metering, retry backoff and the
+// sanity-check wrapper with per-device payload history.
 //
 // Engines are sans-IO: handlers take (sender, bytes, now) and return
 // send-intents; a wrapper (testbed SimNode or a live UDP runner) moves the
 // bytes and converts metered cycles into busy time on the tier's CPU model.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -29,6 +31,17 @@ using EngineWork =
 /// left null the engine falls back to lazy, traffic-driven expiry only.
 using EngineTimer =
     std::function<void(util::SimTime delay, EngineWork work)>;
+
+/// Retry delay: base * 2^attempt, jittered ±10 % by `u01` (a uniform draw
+/// in [0, 1)) so synchronized senders do not retransmit in lockstep.
+inline util::SimTime backoff_delay(util::SimTime base, std::size_t attempt,
+                                   double u01) noexcept {
+  const double scale = static_cast<double>(
+      std::uint64_t{1} << std::min<std::size_t>(attempt, 10));
+  const double jitter = 1.0 + 0.1 * (2.0 * u01 - 1.0);
+  return static_cast<util::SimTime>(static_cast<double>(base) * scale *
+                                    jitter);
+}
 
 /// Accumulates simulated CPU cycles spent inside an engine call.
 class CostMeter {
