@@ -27,7 +27,7 @@ TEST(AdaptiveRefill, LearnsDemandRate) {
     (void)edge.on_packet(1000, encode(Packet::data_request(512, false)),
                          util::from_seconds(t));
   }
-  EXPECT_NEAR(edge.demand_rate_bps() / 8.0, 64.0, 25.0);
+  EXPECT_NEAR(edge.cache().demand_rate_bps() / 8.0, 64.0, 25.0);
 }
 
 TEST(AdaptiveRefill, QuietEdgeStopsRefilling) {
