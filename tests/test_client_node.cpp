@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cadet/server_node.h"
 #include "engine_harness.h"
 #include "util/rng.h"
@@ -175,6 +178,51 @@ TEST(ClientNode, LateDeliveryAfterExpiryFeedsPoolButNoCallback) {
   EXPECT_EQ(calls, 1);  // exactly the expiry call
   EXPECT_EQ(client.requests_expired(), 1u);
   EXPECT_GT(client.pool().available_bits(), 0u);
+}
+
+TEST(ClientNode, RetryChainFallsBackAfterFifteenSeconds) {
+  // The timer-driven chain (config.h): kMaxRequestRetries retransmissions,
+  // doubling from kRequestRetryBaseNs with ±10 % jitter, go out about 1, 3
+  // and 7 s after the request; the fallback fires after the last wait, at
+  // about 15 s — after the lazy 10 s request_timeout.
+  struct Pending {
+    util::SimTime at;
+    EngineWork work;
+  };
+  std::vector<Pending> timers;
+  util::SimTime now = 0;
+  auto config = client_config();
+  config.seed = 5;
+  config.timer = [&](util::SimTime delay, EngineWork work) {
+    timers.push_back({now + delay, std::move(work)});
+  };
+  ClientNode client(config);
+  bool fell_back = false;
+  (void)client.request_entropy(256, 0,
+                               [&](util::BytesView data, util::SimTime) {
+                                 fell_back = !data.empty();
+                               });
+  std::vector<double> resent_s;
+  while (!timers.empty() && client.requests_fallback() == 0) {
+    const auto next = std::min_element(
+        timers.begin(), timers.end(),
+        [](const Pending& a, const Pending& b) { return a.at < b.at; });
+    const Pending timer = std::move(*next);
+    timers.erase(next);
+    now = timer.at;
+    for (const net::Outgoing& out : timer.work(now)) {
+      if (out.to == config.edge) resent_s.push_back(util::to_seconds(now));
+    }
+  }
+  ASSERT_EQ(resent_s.size(), kMaxRequestRetries);
+  const double expected_s[] = {1.0, 3.0, 7.0};
+  for (std::size_t k = 0; k < resent_s.size(); ++k) {
+    EXPECT_NEAR(resent_s[k], expected_s[k], 0.1 * expected_s[k]) << k;
+  }
+  EXPECT_EQ(client.requests_fallback(), 1u);
+  EXPECT_NEAR(util::to_seconds(now), 15.0, 1.5);
+  EXPECT_TRUE(fell_back);
+  EXPECT_EQ(client.requests_retried(), kMaxRequestRetries);
 }
 
 TEST(ClientNode, CostAccrues) {
