@@ -37,6 +37,17 @@ namespace cadet {
 /// refills just early enough to cover the in-flight window).
 enum class RefillPolicy { kFixedFraction, kAdaptive };
 
+/// Heap bytes a std::deque holds, as libstdc++ lays it out: 512-byte nodes,
+/// one kept even when the deque is empty, and a map of at least 8 node
+/// pointers. Counts EdgeCache's queue and ScaleWorld's retry timers.
+template <typename T>
+std::size_t deque_memory_bytes(const std::deque<T>& queue) noexcept {
+  constexpr std::size_t kPerNode = sizeof(T) < 512 ? 512 / sizeof(T) : 1;
+  const std::size_t nodes = queue.size() / kPerNode + 1;
+  return nodes * kPerNode * sizeof(T) +
+         std::max<std::size_t>(8, nodes + 2) * sizeof(T*);
+}
+
 template <typename Ticket>
 class EdgeCache {
  public:
@@ -77,6 +88,10 @@ class EdgeCache {
   bool refill_outstanding() const noexcept { return outstanding_; }
   /// Adaptive-policy demand estimate (0 under the fixed trigger).
   double demand_rate_bps() const noexcept { return demand_rate_Bps_ * 8.0; }
+  /// Heap bytes of the pending queue (the rest of the core is inline).
+  std::size_t memory_bytes() const noexcept {
+    return deque_memory_bytes(pending_);
+  }
 
   /// Clamp a request to capacity minus reserve, so an ask larger than a
   /// small edge's cache cannot queue forever.

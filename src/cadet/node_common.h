@@ -34,8 +34,8 @@ using EngineTimer =
 
 /// Retry delay: base * 2^attempt, jittered ±10 % by `u01` (a uniform draw
 /// in [0, 1)) so synchronized senders do not retransmit in lockstep.
-inline util::SimTime backoff_delay(util::SimTime base, std::size_t attempt,
-                                   double u01) noexcept {
+constexpr util::SimTime backoff_delay(util::SimTime base, std::size_t attempt,
+                                      double u01) noexcept {
   const double scale = static_cast<double>(
       std::uint64_t{1} << std::min<std::size_t>(attempt, 10));
   const double jitter = 1.0 + 0.1 * (2.0 * u01 - 1.0);

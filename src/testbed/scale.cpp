@@ -28,6 +28,15 @@ constexpr util::SimTime kBoundaryJitterNs = 2 * util::kMillisecond;
 constexpr util::SimTime kScanPeriodNs = 2 * util::kSecond;
 constexpr util::SimTime kSourcePeriodNs = 500 * util::kMillisecond;
 
+// The shortest retransmission wait backoff_delay can draw (attempt 0, the
+// lowest jitter). A retry timer queued in a window is never due in it, so
+// the sweep at each window start hands the simulator every timer that
+// can fall due in that window.
+constexpr util::SimTime kRetryEarliestNs =
+    backoff_delay(kRequestRetryBaseNs, 0, 0.0);
+static_assert(kRetryEarliestNs > kBoundaryBaseNs,
+              "a retry timer must not fall due in the window that queued it");
+
 // Event-kind tags folded into the per-shard trace checksums.
 enum : std::uint64_t {
   kFoldRequest = 1,
@@ -200,8 +209,10 @@ ScaleWorld::ScaleWorld(const ScaleConfig& config)
     for (const ScaleCrashWindow& crash : config_.crashes) {
       if (crash.edge == shard->index) shard->crashes.push_back(crash);
     }
-    // Steady state holds roughly two pending events per client (the next
-    // request tick plus in-flight timeout/upload machinery).
+    // Steady state holds one pending request tick per client and one
+    // upload tick per producer (every client, at producer_fraction 1), plus
+    // the shard's few in-flight messages and live retry timers; answered
+    // requests never schedule theirs.
     shard->sim.reserve(2 * shard->clients + 64);
 
     ClientEngine& engine = *shard->engine;
@@ -287,10 +298,40 @@ void ScaleWorld::step_shard(std::size_t s) {
   // Events inside [window_start, window_end) — run_until is inclusive, so
   // stop one tick short of the boundary.
   if (s < shards_.size()) {
-    shards_[s]->sim.run_until(window_end_ - 1);
+    EdgeShard& shard = *shards_[s];
+    sweep_retries(shard);
+    shard.sim.run_until(window_end_ - 1);
   } else {
     server_.sim.run_until(window_end_ - 1);
   }
+}
+
+void ScaleWorld::sweep_retries(EdgeShard& shard) {
+  const ClientEngine& engine = *shard.engine;
+  const auto answered = [&engine](const RetryTimer& timer) {
+    return !engine.pending_matches(timer.client, timer.id);
+  };
+  std::deque<RetryTimer>& fifo = shard.retries;
+  // Most requests are answered in the window that sent them: drop their
+  // timers now rather than hold them for the whole backoff.
+  const auto fresh =
+      fifo.begin() + static_cast<std::ptrdiff_t>(shard.retries_swept);
+  fifo.erase(std::remove_if(fresh, fifo.end(), answered), fifo.end());
+  // Timers that can fall due before this window ends become events at
+  // their exact due time, for requests still waiting on a reply. A timer
+  // kept here can only fall due in a later window; client_retry re-checks,
+  // since a reply can land between this sweep and the due time.
+  const std::uint32_t s = shard.index;
+  while (!fifo.empty() && fifo.front().earliest < window_end_) {
+    const RetryTimer timer = fifo.front();
+    fifo.pop_front();
+    if (answered(timer)) continue;
+    const std::uint32_t i = timer.client;
+    const std::uint16_t id = timer.id;
+    shard.sim.schedule_at(timer.due,
+                          [this, s, i, id] { client_retry(s, i, id); });
+  }
+  shard.retries_swept = fifo.size();
 }
 
 void ScaleWorld::inject(const sim::BoundaryEvent& event) {
@@ -346,7 +387,7 @@ void ScaleWorld::inject(const sim::BoundaryEvent& event) {
 bool ScaleWorld::idle() const noexcept {
   if (!server_.sim.empty()) return false;
   for (const std::unique_ptr<EdgeShard>& shard : shards_) {
-    if (!shard->sim.empty()) return false;
+    if (!shard->sim.empty() || !shard->retries.empty()) return false;
   }
   return true;
 }
@@ -404,10 +445,11 @@ void ScaleWorld::send_request(std::uint32_t s, std::uint32_t i,
   }
   // The engines' retry chain (ClientNode::retry_request): retransmit after
   // kRequestRetryBaseNs * 2^attempt, jittered from the client's stream.
+  // The timer waits in the shard's FIFO until sweep_retries.
   const util::SimTime wait = backoff_delay(kRequestRetryBaseNs, attempt,
                                            shard.engine->uniform01(i));
-  shard.sim.schedule_at(now + wait,
-                        [this, s, i, id] { client_retry(s, i, id); });
+  shard.retries.push_back(
+      RetryTimer{now + kRetryEarliestNs, now + wait, i, id});
 }
 
 void ScaleWorld::edge_request(std::uint32_t s, std::uint32_t i,
@@ -1005,6 +1047,7 @@ std::size_t ScaleWorld::memory_bytes() const noexcept {
   for (const std::unique_ptr<EdgeShard>& shard : shards_) {
     total += sizeof(EdgeShard) + shard->sim.memory_bytes() +
              shard->engine->memory_bytes() + shard->econ.memory_bytes() +
+             shard->cache.memory_bytes() + deque_memory_bytes(shard->retries) +
              shard->crashes.capacity() * sizeof(ScaleCrashWindow);
   }
   return total;

@@ -26,6 +26,13 @@
 //     shards touch disjoint state inside a window and the barrier is
 //     deterministic, same-seed traces are byte-identical for any -j —
 //     checksum() is the witness the determinism tests pin.
+//   * A retransmission timer is not an event when it is armed. Each shard
+//     queues its timers in send order. At the start of a window it drops
+//     the timers of requests answered in the window before, and sweeps the
+//     ones that can fall due in this one: only a request still waiting for
+//     its reply gets a client_retry event, at the exact due time. Answered
+//     requests, nearly all of them, cost no event, and the trace is the
+//     one a timer event per request would give.
 //
 // Where the paths still differ from the per-node engines, on purpose: no
 // crypto or registration; SoA clients with one in-flight slot each; the
@@ -42,6 +49,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -238,9 +246,10 @@ class ScaleWorld {
     return boundary_injected_;
   }
 
-  /// Heap bytes held by all shards: simulators, client engines, merge
-  /// queue, and shard bookkeeping. Divide by num_clients() for the
-  /// bytes/client figure BENCH_7 gates.
+  /// Heap bytes held by all shards: simulators, client engines, economics
+  /// tables, cache queues, retry timers, merge queue, and shard
+  /// bookkeeping. Divide by num_clients() for the bytes/client figure
+  /// BENCH_7 gates.
   std::size_t memory_bytes() const noexcept;
 
  private:
@@ -250,6 +259,13 @@ class ScaleWorld {
     std::uint16_t id = 0;      ///< request generation
   };
   using Cache = EdgeCache<PendingReply>;
+  /// A retransmission timer the simulator has not been handed yet.
+  struct RetryTimer {
+    util::SimTime earliest = 0;  ///< send time + the shortest backoff
+    util::SimTime due = 0;
+    std::uint32_t client = 0;  ///< ClientEngine index
+    std::uint16_t id = 0;      ///< request generation
+  };
   struct EdgeShard {
     EdgeShard(std::uint32_t index, std::uint32_t clients)
         : index(index), clients(clients), cache(clients) {}
@@ -259,6 +275,8 @@ class ScaleWorld {
     std::uint32_t index = 0;
     std::uint32_t clients = 0;
     Cache cache;
+    std::deque<RetryTimer> retries;  // in send order, so by `earliest`
+    std::size_t retries_swept = 0;   // FIFO size after the last sweep
     std::uint64_t upload_buffer_bytes = 0;
     ClientEconomics econ;  // one slot per client, slot = client index
     std::vector<ScaleCrashWindow> crashes;
@@ -281,6 +299,7 @@ class ScaleWorld {
   static constexpr std::uint32_t kUploadFwd = 3;
 
   void step_shard(std::size_t s);
+  void sweep_retries(EdgeShard& shard);
   void inject(const sim::BoundaryEvent& event);
   bool idle() const noexcept;
 

@@ -195,5 +195,18 @@ TEST(EdgeCache, StaleQueuedRequestsAreDiscarded) {
   EXPECT_EQ(cache.size_bytes(), 1024u - 64u);
 }
 
+TEST(EdgeCache, MemoryCountsThePendingQueue) {
+  // An empty queue still holds a node and a map; a long one holds one node
+  // per 512 bytes of entries.
+  Cache cache(2);
+  const std::size_t empty = cache.memory_bytes();
+  EXPECT_GE(empty, 512u);
+  for (int ticket = 0; ticket < 1000; ++ticket) {
+    ASSERT_EQ(cache.serve(64, false, ticket, 0).serve, Serve::kQueued);
+  }
+  // Each entry holds at least its byte count and queue time.
+  EXPECT_GE(cache.memory_bytes(), empty + 1000 * 16);
+}
+
 }  // namespace
 }  // namespace cadet

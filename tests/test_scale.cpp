@@ -9,10 +9,14 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
+#include <string_view>
 #include <vector>
 
 #include "cadet/client_engine.h"
+#include "cadet/config.h"
 #include "cadet/economics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/task_pool.h"
 
@@ -214,12 +218,20 @@ TEST(ScaleWorld, SameSeedTracesAreExecutorIndependent) {
   ScaleWorld pooled2(config);
   pooled2.run(pool_executor(pool2));
 
+  util::TaskPool pool3(3);  // an odd worker count (the 2 and 4 splits of
+                            // the 9 shards are the uneven ones)
+  ScaleWorld pooled3(config);
+  pooled3.run(pool_executor(pool3));
+
   EXPECT_EQ(sequential.checksum(), pooled.checksum());
   EXPECT_EQ(sequential.checksum(), pooled2.checksum());
+  EXPECT_EQ(sequential.checksum(), pooled3.checksum());
   EXPECT_EQ(sequential.events_executed(), pooled.events_executed());
   EXPECT_EQ(sequential.events_executed(), pooled2.events_executed());
+  EXPECT_EQ(sequential.events_executed(), pooled3.events_executed());
   expect_stats_eq(sequential.stats(), pooled.stats());
   expect_stats_eq(sequential.stats(), pooled2.stats());
+  expect_stats_eq(sequential.stats(), pooled3.stats());
 }
 
 TEST(ScaleWorld, DifferentSeedsDiverge) {
@@ -358,6 +370,102 @@ TEST(ScaleWorld, RetransmittedRequestIsHandledOnce) {
   EXPECT_EQ(steps, stats.requests_received + stats.uploads_accepted +
                        stats.refills_completed);
   expect_conservation(world);
+}
+
+TEST(ScaleWorld, LosslessRunRunsNoDeadTimers) {
+  // No loss, full caches, no flooders: every request is answered within a
+  // millisecond, so no retransmission timer ever needs to fire, and one
+  // that was scheduled anyway would pop and do nothing.
+  ScaleConfig config = small_config();
+  config.drop_prob = 0.0;
+  config.flooder_fraction = 0.0;
+  config.initial_cache_fill = 1.0;
+  ScaleWorld world(config);
+  const std::uint64_t events = world.run();
+  const ScaleStats stats = world.stats();
+  ASSERT_GT(stats.requests_sent, 1000u);
+  ASSERT_EQ(stats.retried, 0u);
+  ASSERT_EQ(stats.fulfilled, stats.requests_sent);
+  // The protocol's own events: request and upload ticks, the requests and
+  // uploads reaching the edge, the replies, the heavy scans, the server's
+  // source ticks, and one per boundary crossing (refill requests, refill
+  // data, upload forwards).
+  const auto periods = [&config](double period_s) {
+    return static_cast<std::uint64_t>(config.duration_s / period_s);
+  };
+  const std::uint64_t protocol =
+      stats.requests_sent + stats.local_serves + stats.uploads_sent +
+      stats.requests_sent + stats.uploads_sent + stats.fulfilled +
+      world.num_edges() * periods(2.0) + periods(0.5) +
+      world.boundary_injected();
+  ASSERT_GE(events, protocol);
+  // What is left is ticks that found a request in flight: far fewer than
+  // the one idle timer event per wire request that arming every retry
+  // timer in the simulator would add.
+  EXPECT_LT(events - protocol, stats.requests_sent / 2);
+}
+
+TEST(ScaleWorld, RetryChainMatchesTheEngines) {
+  // Every datagram is lost, so each request rides the whole chain: it
+  // retransmits about 1, 3 and 7 s after it was issued and falls back at
+  // about 15 s, as the engines' timer chain does
+  // (ClientNode.RetryChainFallsBackAfterFifteenSeconds), although the
+  // world holds each timer outside the simulator until its window.
+  ScaleConfig config = small_config();
+  config.num_clients = 2000;
+  config.duration_s = 2.0;
+  config.drop_prob = 1.0;
+  config.flooder_fraction = 0.0;
+  obs::MemorySink sink;
+  obs::Tracer tracer;
+  tracer.set_sink(&sink);
+  tracer.enable(true);
+  ScaleWorld world(config);
+  world.set_tracer(&tracer);
+  world.enable_tracing(true);
+  // Every timer fires in the window it falls due in, so each barrier folds
+  // only events at or past the previous window's end.
+  std::size_t checked = 0;
+  util::SimTime window_start = 0;
+  world.set_window_hook([&](const ScaleWorld::WindowReport& report) {
+    tracer.flush();
+    for (; checked < sink.events().size(); ++checked) {
+      ASSERT_GE(sink.events()[checked].ts, window_start) << checked;
+    }
+    window_start = report.watermark;
+  });
+  world.run();
+  tracer.flush();
+
+  const ScaleStats stats = world.stats();
+  ASSERT_GT(stats.requests_sent, 10u);
+  EXPECT_EQ(stats.fallback, stats.requests_sent);
+  EXPECT_EQ(stats.retried, kMaxRequestRetries * stats.requests_sent);
+#if CADET_OBS_ENABLED  // the timings come from the trace
+  // Each chain's client events in order: the request, its retransmissions
+  // and the fallback.
+  std::map<std::uint64_t, std::vector<util::SimTime>> chains;
+  for (const obs::TraceEvent& event : sink.events()) {
+    const std::string_view name = event.name;
+    if (std::string_view(event.tier) == "client" &&
+        (name == "request" || name == "request_retry" ||
+         name == "fallback")) {
+      chains[event.trace].push_back(event.ts);
+    }
+  }
+  ASSERT_EQ(chains.size(), stats.requests_sent);
+  for (const auto& [trace, times] : chains) {
+    ASSERT_EQ(times.size(), kMaxRequestRetries + 2) << trace;
+    // Wait k is kRequestRetryBaseNs * 2^k with ±10 % jitter, to the
+    // nanosecond: a timer fired late or early would stretch or shrink one.
+    for (std::size_t k = 0; k + 1 < times.size(); ++k) {
+      const util::SimTime wait = times[k + 1] - times[k];
+      const util::SimTime nominal = kRequestRetryBaseNs << k;
+      EXPECT_GE(wait, nominal / 10 * 9) << trace << " wait " << k;
+      EXPECT_LT(wait, nominal / 10 * 11) << trace << " wait " << k;
+    }
+  }
+#endif  // CADET_OBS_ENABLED
 }
 
 TEST(ScaleWorld, CrashWindowsLoseNoAccountedEvents) {

@@ -39,8 +39,9 @@ TEST(ScaleChaos, HundredThousandClientsSurviveFaults) {
   const std::uint64_t events = world.run();
   const ScaleStats stats = world.stats();
 
-  // The run actually exercised the machinery.
-  EXPECT_GT(events, 400'000u);
+  // The run actually exercised the machinery (~395k events; answered
+  // requests schedule no retransmission timer, so none is counted here).
+  EXPECT_GT(events, 350'000u);
   EXPECT_GT(stats.requests_sent, 50'000u);
   EXPECT_GT(stats.wire_dropped_requests, 0u);
   EXPECT_GT(stats.crash_dropped_requests, 0u);
