@@ -28,7 +28,7 @@ void ShardObs::emit(const TraceEvent& event) noexcept {
   entry.seq = seq_++;
   entry.shard = shard_;
   // Stamp the merge keys as attributes so the exported artifact carries
-  // the order proof cadet_trace re-validates offline.
+  // the order proof cadet_report re-validates offline.
   if (entry.event.num_attrs + 2 <= static_cast<int>(entry.event.attrs.size())) {
     entry.event.attrs[entry.event.num_attrs++] = {
         "shard", static_cast<double>(shard_)};

@@ -44,7 +44,7 @@ class ShardObs {
   std::uint32_t shard() const noexcept { return shard_; }
 
   /// Buffer one trace event, stamping `shard` and `seq` attributes (the
-  /// merge keys cadet_trace validates). No-op while the plane's tracing
+  /// merge keys cadet_report validates). No-op while the plane's tracing
   /// gate is off; compiled out entirely under CADET_OBS=OFF.
   void emit(const TraceEvent& event) noexcept;
 

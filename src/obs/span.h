@@ -6,7 +6,7 @@
 // ride the existing TraceEvent stream as phase 'B'/'E'/'X' records carrying
 // {trace, span, parent} ids, so one request's full story — retries, dedup
 // drops, cache hit vs. server refill, fallback — reconstructs from the
-// trace alone (tools/cadet_report, cadet_trace --spans). Span ids ride the
+// trace alone (tools/cadet_report reads and validates it). Span ids ride the
 // *existing* protocol events: with spans enabled the "request" record
 // becomes the root's 'B', the terminal "reply"/"fallback"/"request_expired"
 // record its 'E', and serve decisions become zero-length 'X' spans — the

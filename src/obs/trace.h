@@ -174,7 +174,7 @@ inline void emit(util::SimTime ts, const char* name, const char* tier,
 #endif
 }
 
-// ---- trace reading (cadet_trace, tests) ----
+// ---- trace reading (cadet_report, tests) ----
 
 /// One parsed JSONL trace line.
 struct ParsedEvent {

@@ -30,9 +30,15 @@ endif()
 execute_process(
   COMMAND ${REPORT} ${OUT}/honest_trace.jsonl --check --adversary
           --out ${OUT}/honest_report.txt
-  RESULT_VARIABLE r4 ERROR_QUIET)
+  RESULT_VARIABLE r4 ERROR_VARIABLE honest_err)
 if(r4 EQUAL 0)
   message(FATAL_ERROR "--check --adversary passed on an all-honest trace")
+endif()
+# It must fail for the adversary reason, not for a broken trace.
+string(FIND "${honest_err}" "no policing events in trace" pos)
+if(pos EQUAL -1 OR honest_err MATCHES "--check:")
+  message(FATAL_ERROR
+    "the honest trace failed for the wrong reason:\n${honest_err}")
 endif()
 execute_process(
   COMMAND ${SIM} --scale --clients 8000 --duration 6 --seed 11 --shards 2

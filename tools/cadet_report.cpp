@@ -10,16 +10,27 @@
 // when events carry a `shard` stream attribute, the policed-clients
 // section when there are policing events).
 //
-// The report is reconstructed from the trace alone; when a Prometheus
-// snapshot (cadet_sim --metrics-out) is also given, each row of kJoinRows
-// pairs a trace event with the counter family that counts the same fact,
-// and --check makes any disagreement fatal. That closes the loop on the
-// span plumbing: if a serve path ever stops emitting its event, the report
-// and the counters drift apart and CI notices.
+// The report is reconstructed from the trace alone, in one pass that also
+// validates it. Per trace id, an 'E' record with no open 'B' for its span,
+// or a 'B'/'X' record whose parent no 'B'/'X' of the trace defines, is an
+// orphan, and a 'B' that no 'E' closes by the end of the file is unclosed.
+// Shard-tagged events (cadet_sim --scale) must rise strictly in
+// {ts, seq, shard} order, the order the barrier fold writes. --check makes
+// any orphan, unclosed span, order violation or malformed line fatal.
+//
+// When a Prometheus snapshot (cadet_sim --metrics-out) is also given, each
+// row of kJoinRows pairs a trace event with the counter family that counts
+// the same fact, and --check makes any disagreement fatal too. That closes
+// the loop on the span plumbing: if a serve path ever stops emitting its
+// event, the report and the counters drift apart and CI notices.
+//
+// There is no event filter: the trace holds one JSON object per line, so
+// `grep '"ev":"cache_hit"' t.jsonl | head` lists events of one kind.
 //
 // Examples:
 //   cadet_sim --duration 120 --trace-out t.jsonl --metrics-out m.prom
 //   cadet_report t.jsonl --metrics m.prom --check
+//   cadet_report t.jsonl --check          # span trees and shard order only
 //   cadet_report t.jsonl --html report.html
 //   cadet_sim --adversary-mix free-riders --trace-out adv.jsonl
 //   cadet_report adv.jsonl --adversary
@@ -31,8 +42,10 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/export.h"
@@ -48,7 +61,7 @@ struct Options {
   std::string metrics_path;  // optional Prometheus snapshot
   std::string html_path;     // optional HTML report
   std::string out_path;      // optional text report file ("" = stdout)
-  bool check = false;        // trace/metrics disagreement is fatal
+  bool check = false;        // a broken trace or a join mismatch is fatal
   bool adversary = false;    // the defense claims must hold
   std::string validate_path;  // standalone exposition lint (no trace)
 };
@@ -59,7 +72,9 @@ void usage(const char* argv0) {
       "       %s --validate-metrics FILE\n"
       "  --metrics FILE  Prometheus snapshot to join (cadet_sim"
       " --metrics-out)\n"
-      "  --check         exit non-zero if trace and metrics disagree\n"
+      "  --check         exit non-zero on a malformed line, an orphan or\n"
+      "                  unclosed span, a shard-order violation, or (with\n"
+      "                  --metrics) a trace/metrics disagreement\n"
       "  --adversary     exit non-zero unless the trace shows attackers\n"
       "                  policed and served worse than honest clients\n"
       "                  (see docs/ADVERSARIES.md)\n"
@@ -195,6 +210,78 @@ struct TraceDigest {
   };
   std::map<std::uint64_t, ShardRow> shards;
   std::vector<std::pair<double, double>> crossings;  // {ts, latency}
+  std::uint64_t order_violations = 0;  // {ts, seq, shard} steps backwards
+
+  // Span-tree census: records carrying a trace id, the record that ends
+  // each trace, and the structural problems --check rejects.
+  struct SpanCensus {
+    std::size_t traces = 0;
+    std::uint64_t records = 0;  // 'B' / 'E' / 'X'
+    std::uint64_t tagged = 0;   // other events with a trace id
+    std::map<std::string, std::uint64_t> outcomes;
+    std::uint64_t orphans = 0;
+    std::uint64_t unclosed = 0;
+  };
+  SpanCensus spans;
+
+  /// Everything --check rejects apart from a join mismatch, as messages.
+  std::vector<std::string> problems() const {
+    std::vector<std::string> out;
+    const auto note = [&](std::uint64_t n, const char* what) {
+      if (n > 0) out.push_back(std::to_string(n) + " " + what);
+    };
+    note(malformed, "malformed line(s)");
+    note(spans.orphans, "orphan span record(s)");
+    note(spans.unclosed, "unclosed span(s)");
+    note(order_violations, "{ts, seq, shard} order violation(s)");
+    return out;
+  }
+};
+
+bool contains(const std::vector<std::uint64_t>& ids, std::uint64_t id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+/// One trace id's span state, kept to the end of the file: a parent may be
+/// defined after the child that names it.
+struct SpanTree {
+  std::vector<std::uint64_t> defined;  // spans of its 'B' / 'X' records
+  std::vector<std::uint64_t> parents;  // parents those records name
+  std::vector<std::uint64_t> open;     // 'B' spans no 'E' has closed yet
+  std::string outcome;  // the last 'E', or a parentless 'X' root
+
+  void observe(const obs::ParsedEvent& e, TraceDigest::SpanCensus& census) {
+    if (e.phase == 'B' || e.phase == 'X') {
+      ++census.records;
+      defined.push_back(e.span);
+      if (e.parent != 0) parents.push_back(e.parent);
+      if (e.phase == 'B' && !contains(open, e.span)) open.push_back(e.span);
+      if (e.phase == 'X' && e.parent == 0) outcome = e.name;  // e.g. upload
+    } else if (e.phase == 'E') {
+      ++census.records;
+      const auto it = std::find(open.begin(), open.end(), e.span);
+      if (it == open.end()) {
+        ++census.orphans;
+      } else {
+        open.erase(it);
+      }
+      outcome = e.name;
+    } else {
+      ++census.tagged;
+    }
+  }
+
+  void close(TraceDigest::SpanCensus& census) const {
+    for (const std::uint64_t parent : parents) {
+      if (!contains(defined, parent)) ++census.orphans;
+    }
+    census.unclosed += open.size();
+    if (!outcome.empty()) {
+      ++census.outcomes[outcome];
+    } else if (open.empty()) {
+      ++census.outcomes["(eventless)"];
+    }
+  }
 };
 
 bool digest_trace(const std::string& path, TraceDigest& digest) {
@@ -207,6 +294,8 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
   // trace id -> request under reconstruction (requests only; refills and
   // uploads fold straight into counters).
   std::map<std::uint64_t, RequestTrace> open_requests;
+  std::map<std::uint64_t, SpanTree> trees;  // every trace id seen
+  std::optional<std::tuple<double, double, double>> last_merge_key;
 
   std::string line;
   while (std::getline(in, line)) {
@@ -221,6 +310,7 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
     ++digest.total_events;
     const auto& e = *event;
     ++digest.events[{e.tier, e.name}];
+    if (e.trace != 0) trees[e.trace].observe(e, digest.spans);
 
     if (e.name == "request" && e.tier == "client" && e.phase == 'B') {
       RequestTrace req;
@@ -274,6 +364,16 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
       } else if (e.tier == "net") {
         digest.crossings.emplace_back(e.ts_s, e.attr("latency_s", 0.0));
       }
+      // The barrier fold stamps `seq` next to `shard` and writes the
+      // merged stream in strictly rising {ts, seq, shard} order.
+      const double seq = e.attr("seq", -1.0);
+      if (seq >= 0.0) {
+        const std::tuple key{e.ts_s, seq, shard_attr};
+        if (last_merge_key && !(key > *last_merge_key)) {
+          ++digest.order_violations;
+        }
+        last_merge_key = key;
+      }
     }
   }
 
@@ -282,6 +382,8 @@ bool digest_trace(const std::string& path, TraceDigest& digest) {
     req.outcome = "(open)";
     digest.requests.push_back(req);
   }
+  digest.spans.traces = trees.size();
+  for (const auto& [trace_id, tree] : trees) tree.close(digest.spans);
   return true;
 }
 
@@ -746,6 +848,12 @@ void shard_section(const TraceDigest& digest, std::string& out) {
                   : 0));
     }
   }
+  if (digest.order_violations > 0) {
+    add("INVALID: %llu {ts, seq, shard} order violation(s)\n",
+        static_cast<unsigned long long>(digest.order_violations));
+  } else {
+    add("merged {ts, seq, shard} order verified\n");
+  }
 
   // Boundary crossing-latency heatmap: time buckets down, latency bins
   // across, shaded by count. Crossings live in [window, window + jitter]
@@ -820,6 +928,18 @@ std::string text_report(const TraceDigest& digest,
   if (digest.malformed > 0) {
     add("  (%llu malformed line(s) skipped)\n",
         static_cast<unsigned long long>(digest.malformed));
+  }
+
+  add("\n--- events by tier ---\n");
+  std::map<std::string, std::uint64_t> tier_totals;
+  for (const auto& [key, n] : digest.events) tier_totals[key.first] += n;
+  for (const auto& [tier, total] : tier_totals) {
+    add("%-7s %8llu\n", tier.c_str(), static_cast<unsigned long long>(total));
+    for (const auto& [key, n] : digest.events) {
+      if (key.first != tier) continue;
+      add("  %-18s %8llu\n", key.second.c_str(),
+          static_cast<unsigned long long>(n));
+    }
   }
 
   const Funnel f = funnel_of(digest);
@@ -936,6 +1056,22 @@ std::string text_report(const TraceDigest& digest,
     add("deliveries %zu, source batch lo p50=%.0f newest seen=%.0f\n",
         digest.delivery_gen_lo.count(), digest.delivery_gen_lo.quantile(0.5),
         digest.delivery_gen_hi.max());
+  }
+
+  const TraceDigest::SpanCensus& spans = digest.spans;
+  add("\n--- span trees ---\n");
+  add("traces %zu, span records %llu, tagged events %llu\n", spans.traces,
+      static_cast<unsigned long long>(spans.records),
+      static_cast<unsigned long long>(spans.tagged));
+  for (const auto& [name, n] : spans.outcomes) {
+    add("  %-18s %8llu\n", name.c_str(), static_cast<unsigned long long>(n));
+  }
+  if (spans.orphans + spans.unclosed > 0) {
+    add("INVALID: %llu orphan record(s), %llu unclosed span(s)\n",
+        static_cast<unsigned long long>(spans.orphans),
+        static_cast<unsigned long long>(spans.unclosed));
+  } else {
+    add("all span trees well-formed\n");
   }
 
   if (!digest.shards.empty()) shard_section(digest, out);
@@ -1188,6 +1324,12 @@ int main(int argc, char** argv) {
   }
 
   int rc = 0;
+  if (opt.check) {
+    for (const std::string& problem : digest.problems()) {
+      std::fprintf(stderr, "cadet_report --check: %s\n", problem.c_str());
+      rc = 1;
+    }
+  }
   const std::uint64_t mismatches = mismatches_of(joined);
   if (opt.check && metrics.loaded && mismatches > 0) {
     std::fprintf(stderr, "cadet_report --check: %llu mismatch(es)\n",
