@@ -17,8 +17,7 @@ EdgeNode::EdgeNode(const Config& config)
       csprng_(config.seed ^ 0xed6eed6eed6eULL),
       rng_(config.seed ^ 0x1234abcdULL),
       cache_(config.num_clients, config.refill_policy),
-      econ_(config.penalty),
-      sanity_(config.sanity_alpha) {
+      econ_(config.penalty) {
   if (config.metrics != nullptr) {
     metrics_ = config.metrics;
   } else {

@@ -45,7 +45,6 @@ class EdgeNode {
     std::size_t upload_forward_bytes = kUploadForwardBytes;
     PenaltyConfig penalty{};
     bool sanity_checks_enabled = true;
-    double sanity_alpha = SanityChecker::kDefaultAlpha;
     RefillPolicy refill_policy = RefillPolicy::kFixedFraction;
     /// §VI-D3 mitigation: harvest CADET packet inter-arrival jitter at the
     /// edge and inject it between client contributions in the bulk upload,

@@ -69,12 +69,12 @@ class CostMeter {
 /// Two significance levels calibrate the penalty dynamics (Fig. 10c /
 /// Table II), and the split is load-bearing:
 ///
-///  * `alpha` governs the five NIST checks. At 0.03 an honest 256-bit
-///    payload fails >= 3 of them only ~1.5 % of the time, matching the
-///    paper's ~1.2 % honest rejection rate (Table II).
-///  * `history_alpha` governs the CADET-specific history comparison, and
-///    is deliberately strict (0.7): an honest payload "fails" it ~70 % of
-///    the time, i.e. it demands uploads look *aggressively* independent of
+///  * `kDefaultAlpha` governs the five NIST checks. At 0.03 an honest
+///    256-bit payload fails >= 3 of them only ~1.5 % of the time, matching
+///    the paper's ~1.2 % honest rejection rate (Table II).
+///  * `kDefaultHistoryAlpha` governs the CADET-specific history comparison
+///    and is deliberately strict (0.7): an honest payload "fails" it ~70 %
+///    of the time, i.e. it demands uploads look *aggressively* independent of
 ///    the device's previous upload. Since rejection needs >= 3 failures,
 ///    this never drops honest traffic — but it shifts the typical honest
 ///    score from 6/6 (-1 penalty point) to 5/6 (0 points), making the
@@ -91,10 +91,6 @@ class SanityChecker {
   static constexpr double kDefaultAlpha = 0.03;
   static constexpr double kDefaultHistoryAlpha = 0.7;
 
-  explicit SanityChecker(double alpha = kDefaultAlpha,
-                         double history_alpha = kDefaultHistoryAlpha)
-      : alpha_(alpha), history_alpha_(history_alpha) {}
-
   struct Outcome {
     int checks_passed = 0;
     bool accepted = false;
@@ -107,7 +103,8 @@ class SanityChecker {
     Outcome out;
     for (const auto& result : battery.results) {
       const double bar =
-          result.name == "HistoryCompare" ? history_alpha_ : alpha_;
+          result.name == "HistoryCompare" ? kDefaultHistoryAlpha
+                                          : kDefaultAlpha;
       if (result.p_value >= bar) ++out.checks_passed;
     }
     out.accepted = out.checks_passed >= kAcceptMinimum;
@@ -117,12 +114,7 @@ class SanityChecker {
     return out;
   }
 
-  double alpha() const noexcept { return alpha_; }
-  double history_alpha() const noexcept { return history_alpha_; }
-
  private:
-  double alpha_;
-  double history_alpha_;
   nist::SanityBattery battery_;
   std::unordered_map<DeviceId, util::Bytes> history_;
 };

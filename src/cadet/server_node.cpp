@@ -17,8 +17,7 @@ ServerNode::ServerNode(const Config& config)
       rng_(config.seed ^ 0x9876fedcULL),
       pool_(config.pool_capacity_bytes),
       mixer_(pool_),
-      econ_(config.penalty),
-      sanity_(config.sanity_alpha) {
+      econ_(config.penalty) {
   if (config.metrics != nullptr) {
     metrics_ = config.metrics;
   } else {

@@ -37,7 +37,6 @@ class ServerNode {
     std::size_t pool_capacity_bytes = 1 << 20;
     PenaltyConfig penalty{};
     bool sanity_checks_enabled = true;
-    double sanity_alpha = SanityChecker::kDefaultAlpha;
     /// Run a quality check after this many bytes have been mixed in
     /// (0 disables periodic checks).
     std::size_t quality_check_interval_bytes = 64 * 1024;

@@ -309,9 +309,8 @@ std::vector<EdgeOffloadResult> edge_offload(
       config.clients_per_network = 11;
       config.use_edge = with_edge;
       config.server_seed_bytes = 1 << 21;
-      // Offload accounting wants pure packet counts; disable the sanity
-      // CPU cost's effect on shape by keeping checks on (they run at the
-      // edge either way) but the workload honest.
+      // Offload accounting counts packets. The sanity checks stay on, as
+      // in every testbed run, and the workload is honest.
       World world(config);
       if (with_edge) world.register_edges();
       world.transport().reset_counters();

@@ -43,8 +43,6 @@ World::World(const TestbedConfig& config) : config_(config) {
     server_config.id = server_id(j);
     server_config.seed = config_.seed * 2654435761u + 1 + 17 * j;
     server_config.penalty = config_.penalty;
-    server_config.sanity_checks_enabled = config_.sanity_checks_enabled;
-    server_config.sanity_alpha = config_.sanity_alpha;
     server_config.metrics = metrics_.get();
     for (std::size_t peer = 0; peer < config_.num_servers; ++peer) {
       if (peer != j) server_config.peers.push_back(server_id(peer));
@@ -86,8 +84,6 @@ World::World(const TestbedConfig& config) : config_(config) {
       edge_config.seed = config_.seed * 40503u + 7 * k + 3;
       edge_config.num_clients = config_.clients_per_network;
       edge_config.penalty = config_.penalty;
-      edge_config.sanity_checks_enabled = config_.sanity_checks_enabled;
-      edge_config.sanity_alpha = config_.sanity_alpha;
       edge_config.upload_forward_bytes = config_.upload_forward_bytes;
       edge_config.refill_policy = config_.refill_policy;
       edge_config.inject_timing_entropy = config_.inject_timing_entropy;

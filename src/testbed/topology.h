@@ -48,8 +48,6 @@ struct TestbedConfig {
   /// Server pool bootstrap (bytes of seed entropy).
   std::size_t server_seed_bytes = 1 << 16;
   PenaltyConfig penalty{};
-  bool sanity_checks_enabled = true;
-  double sanity_alpha = SanityChecker::kDefaultAlpha;
   std::size_t upload_forward_bytes = kUploadForwardBytes;
   RefillPolicy refill_policy = RefillPolicy::kFixedFraction;
   bool inject_timing_entropy = false;

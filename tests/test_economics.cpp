@@ -540,7 +540,7 @@ TEST(Economics, EdgeNodeMatchesScaleWorldCallOrder) {
   // end fed the same payloads: the bare table sees the same draws and
   // outcomes.
   util::Xoshiro256 gate_rng(config.seed ^ 0x1234abcdULL);
-  SanityChecker sanity(config.sanity_alpha);
+  SanityChecker sanity;
 
   using Delivery = std::pair<std::uint32_t, std::size_t>;  // client, bytes
   // Splits what EdgeNode sent into client deliveries and the refill bits.
