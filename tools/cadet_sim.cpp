@@ -421,6 +421,53 @@ double current_rss_mb() {
 #endif
 }
 
+/// Builds the --slo watchdog over `registry` when --slo or --admin-port
+/// asks for one (`slo` stays null otherwise). A "default" spec, or no spec
+/// at all, adds the default rules. Each transition is logged to stderr and
+/// then passed to `on_alert`, if set. Returns false on a bad rule spec.
+bool make_slo(const Options& opt, obs::Registry& registry,
+              std::function<void(const obs::SloEngine::Alert&)> on_alert,
+              std::unique_ptr<obs::SloEngine>& slo) {
+  if (opt.slo_rules.empty() && opt.admin_port < 0) return true;
+  slo = std::make_unique<obs::SloEngine>(&registry);
+  for (const std::string& spec : opt.slo_rules) {
+    if (spec == "default") {
+      for (const obs::SloRule& rule : obs::default_slo_rules()) {
+        slo->add_rule(rule);
+      }
+      continue;
+    }
+    const auto rule = obs::parse_slo_rule(spec);
+    if (!rule) {
+      std::fprintf(stderr, "bad --slo rule: %s\n", spec.c_str());
+      return false;
+    }
+    slo->add_rule(*rule);
+  }
+  if (slo->rule_count() == 0) {
+    for (const obs::SloRule& rule : obs::default_slo_rules()) {
+      slo->add_rule(rule);
+    }
+  }
+  slo->set_alert_hook(
+      [on_alert = std::move(on_alert)](const obs::SloEngine::Alert& alert) {
+        std::fprintf(stderr, "slo %s: %s value %.6g limit %.6g at t=%.3f s\n",
+                     alert.firing ? "ALERT" : "clear", alert.rule.c_str(),
+                     alert.value, alert.limit, alert.at_s);
+        if (on_alert) on_alert(alert);
+      });
+  return true;
+}
+
+/// The closing `slo:` line, when a watchdog ran.
+void print_slo_summary(const obs::SloEngine* slo) {
+  if (slo == nullptr) return;
+  std::printf("slo: %zu rule(s), %llu tick(s), %llu fire(s)%s\n",
+              slo->rule_count(), static_cast<unsigned long long>(slo->ticks()),
+              static_cast<unsigned long long>(slo->total_fires()),
+              slo->any_firing() ? " [still firing]" : "");
+}
+
 // --scale: the sharded million-client path. Skips the per-node World
 // entirely — ScaleWorld owns its own struct-of-arrays state and merge-queue
 // boundary, and the worker pool only changes wall-clock, never the trace.
@@ -476,33 +523,7 @@ int run_scale(const Options& opt) {
   }
 
   std::unique_ptr<obs::SloEngine> slo;
-  if (!opt.slo_rules.empty() || opt.admin_port >= 0) {
-    slo = std::make_unique<obs::SloEngine>(&registry);
-    for (const std::string& spec : opt.slo_rules) {
-      if (spec == "default") {
-        for (const obs::SloRule& rule : obs::default_slo_rules()) {
-          slo->add_rule(rule);
-        }
-        continue;
-      }
-      const auto rule = obs::parse_slo_rule(spec);
-      if (!rule) {
-        std::fprintf(stderr, "bad --slo rule: %s\n", spec.c_str());
-        return 2;
-      }
-      slo->add_rule(*rule);
-    }
-    if (slo->rule_count() == 0) {
-      for (const obs::SloRule& rule : obs::default_slo_rules()) {
-        slo->add_rule(rule);
-      }
-    }
-    slo->set_alert_hook([](const obs::SloEngine::Alert& alert) {
-      std::fprintf(stderr, "slo %s: %s value %.6g limit %.6g at t=%.3f s\n",
-                   alert.firing ? "ALERT" : "clear", alert.rule.c_str(),
-                   alert.value, alert.limit, alert.at_s);
-    });
-  }
+  if (!make_slo(opt, registry, nullptr, slo)) return 2;
 
   obs::AdminServer admin(&registry, slo.get(), nullptr);
   // The /shards snapshot is rebuilt by the window hook (main thread) and
@@ -667,13 +688,7 @@ int run_scale(const Options& opt) {
     std::printf("metrics: %zu series -> %s\n", registry.size(),
                 opt.metrics_out.c_str());
   }
-  if (slo) {
-    std::printf("slo: %zu rule(s), %llu tick(s), %llu fire(s)%s\n",
-                slo->rule_count(),
-                static_cast<unsigned long long>(slo->ticks()),
-                static_cast<unsigned long long>(slo->total_fires()),
-                slo->any_firing() ? " [still firing]" : "");
-  }
+  print_slo_summary(slo.get());
   admin.stop();
 
   bool ok = true;
@@ -850,39 +865,16 @@ int main(int argc, char** argv) {
 
   // ---- health plane: SLO watchdog + admin endpoint ----
   std::unique_ptr<obs::SloEngine> slo;
-  if (!opt.slo_rules.empty() || opt.admin_port >= 0) {
-    slo = std::make_unique<obs::SloEngine>(&world.metrics());
-    for (const std::string& spec : opt.slo_rules) {
-      if (spec == "default") {
-        for (const obs::SloRule& rule : obs::default_slo_rules()) {
-          slo->add_rule(rule);
-        }
-        continue;
-      }
-      const auto rule = obs::parse_slo_rule(spec);
-      if (!rule) {
-        std::fprintf(stderr, "bad --slo rule: %s\n", spec.c_str());
-        return 2;
-      }
-      slo->add_rule(*rule);
+  const auto dump_flight = [&opt](const obs::SloEngine::Alert& alert) {
+    // Preserve the window leading up to the breach, not just the state at
+    // exit.
+    if (alert.firing && !opt.flight_out.empty()) {
+      obs::write_file(opt.flight_out,
+                      obs::FlightRecorder::global().dump_jsonl());
     }
-    if (slo->rule_count() == 0) {
-      for (const obs::SloRule& rule : obs::default_slo_rules()) {
-        slo->add_rule(rule);
-      }
-    }
-    slo->set_alert_hook([&opt](const obs::SloEngine::Alert& alert) {
-      std::fprintf(stderr,
-                   "slo %s: %s value %.6g limit %.6g at t=%.3f s\n",
-                   alert.firing ? "ALERT" : "clear", alert.rule.c_str(),
-                   alert.value, alert.limit, alert.at_s);
-      // Preserve the window leading up to the breach, not just the state
-      // at exit.
-      if (alert.firing && !opt.flight_out.empty()) {
-        obs::write_file(opt.flight_out,
-                        obs::FlightRecorder::global().dump_jsonl());
-      }
-    });
+  };
+  if (!make_slo(opt, world.metrics(), dump_flight, slo)) return 2;
+  if (slo) {
     // Evaluate on simulated time: a self-rescheduling tick at the
     // configured cadence, so same seed + same rules = same alert trace.
     const util::SimTime period =
@@ -1071,13 +1063,7 @@ int main(int argc, char** argv) {
     std::printf("metrics: %zu series -> %s\n", world.metrics().size(),
                 opt.metrics_out.c_str());
   }
-  if (slo) {
-    std::printf("slo: %zu rule(s), %llu tick(s), %llu fire(s)%s\n",
-                slo->rule_count(),
-                static_cast<unsigned long long>(slo->ticks()),
-                static_cast<unsigned long long>(slo->total_fires()),
-                slo->any_firing() ? " [still firing]" : "");
-  }
+  print_slo_summary(slo.get());
   if (!opt.flight_out.empty()) {
     const auto& flight = obs::FlightRecorder::global();
     if (!obs::write_file(opt.flight_out, flight.dump_jsonl())) return 2;
