@@ -43,7 +43,6 @@
 #include "crypto/chacha20.h"
 #include "crypto/sha256.h"
 #include "net/sim_transport.h"
-#include "obs/flight.h"
 #include "obs/hdr.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -647,7 +646,6 @@ int main(int argc, char** argv) {
       world.simulator().run_until(t_end);
       const double elapsed = now_s() - t0;
       if (traced) {
-        obs::Tracer::global().flush();
         obs::Tracer::global().enable(false);
         obs::Tracer::global().set_sink(nullptr);
         obs::SpanTracker::global().enable(false);
@@ -706,14 +704,15 @@ int main(int argc, char** argv) {
                 record_ops, hdr_p99, exact_p99, 100.0 * p99_err);
   }
 
-  // ---- flight recorder overhead ----
-  // Same discipline as the span gate: the 49-node testbed with the armed
-  // flight ring absorbing every emit vs. disarmed, interleaved best-of.
+  // ---- trace ring overhead ----
+  // Same discipline as the span gate: the 49-node testbed with the global
+  // tracer on and no sink (the ring behind --flight-out and /flight
+  // absorbing every emit) vs. off, interleaved best-of.
   {
     const double duration_s = quick ? 20.0 : 60.0;
-    auto run_world = [&](bool armed) {
-      obs::FlightRecorder::global().clear();
-      obs::arm_flight_recorder(armed);
+    auto run_world = [&](bool on) {
+      obs::Tracer::global().clear();
+      obs::Tracer::global().enable(on);
       testbed::TestbedConfig config;
       testbed::World world(config);
       world.register_edges();
@@ -727,7 +726,7 @@ int main(int argc, char** argv) {
       const double t0 = now_s();
       world.simulator().run_until(t_end);
       const double elapsed = now_s() - t0;
-      obs::arm_flight_recorder(false);
+      obs::Tracer::global().enable(false);
       return static_cast<double>(world.simulator().events_executed()) /
              elapsed;
     };
@@ -741,7 +740,7 @@ int main(int argc, char** argv) {
     put(metrics, "flight_off_events_per_sec", off);
     put(metrics, "flight_on_events_per_sec", on);
     put(metrics, "flight_overhead_fraction", overhead);
-    std::printf("flight rec : %11.0f events/s disarmed, %11.0f armed "
+    std::printf("trace ring : %11.0f events/s off, %11.0f on "
                 "(overhead %+.1f%%)\n",
                 off, on, 100.0 * overhead);
   }
@@ -962,7 +961,7 @@ int main(int argc, char** argv) {
     if (get(metrics, "flight_on_events_per_sec") > 0.0 &&
         get(metrics, "flight_overhead_fraction") >= 0.03) {
       std::fprintf(stderr,
-                   "REGRESSION: flight recorder overhead %.1f%% exceeds "
+                   "REGRESSION: trace ring overhead %.1f%% exceeds "
                    "the 3%% budget\n",
                    100.0 * get(metrics, "flight_overhead_fraction"));
       failed = true;
@@ -1001,7 +1000,7 @@ int main(int argc, char** argv) {
     }
     if (failed) return 1;
     std::printf("check      : all gated metrics within 30%% of %s, span "
-                "overhead < 5%%, flight overhead < 3%%, HDR p99 within "
+                "overhead < 5%%, ring overhead < 3%%, HDR p99 within "
                 "5%%, sharded obs plane < 5%%\n",
                 check_path.c_str());
   }

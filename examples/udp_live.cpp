@@ -8,9 +8,10 @@
 // (init + token rereg) and pulls encrypted entropy.
 // With `--admin-port N` the process also exposes the runtime health plane
 // on 127.0.0.1:N (/metrics, /healthz, /flight) backed by a live Registry,
-// the default SLO rules, and the flight recorder; `--serve-ms T` keeps the
-// process polling (and the endpoint up) for T ms after the demo so a
-// scraper can observe it — this is what the CI admin-endpoint job drives.
+// the default SLO rules, and the global tracer's ring of the newest events
+// (switched on for the endpoint); `--serve-ms T` keeps the process polling
+// (and the endpoint up) for T ms after the demo so a scraper can observe
+// it — this is what the CI admin-endpoint job drives.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,8 +20,8 @@
 #include "entropy/sources.h"
 #include "net/udp_runner.h"
 #include "obs/admin.h"
-#include "obs/flight.h"
 #include "obs/slo.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
@@ -73,16 +74,19 @@ int main(int argc, char** argv) {
   net::UdpRunner runner;
   runner.bind_metrics(registry);
 
-  // Health plane: default watchdog rules ticked from the poll loop, the
-  // flight recorder armed, and the admin endpoint if requested.
+  // Health plane: default watchdog rules ticked from the poll loop, and
+  // the admin endpoint if requested, with /flight serving the global
+  // tracer's ring.
   obs::SloEngine slo(&registry);
   for (const obs::SloRule& rule : obs::default_slo_rules()) {
     slo.add_rule(rule);
   }
   runner.bind_health(&slo);
-  obs::arm_flight_recorder(true);
-  obs::AdminServer admin(&registry, &slo, &obs::FlightRecorder::global());
+  obs::AdminServer admin(&registry, &slo);
   if (admin_port >= 0) {
+    obs::Tracer::global().enable();
+    admin.add_source("/flight", "application/x-ndjson",
+                     [] { return obs::Tracer::global().recent_jsonl(); });
     obs::AdminServer::Options admin_opt;
     admin_opt.port = admin_port;
     if (!admin.start(admin_opt)) return 1;
@@ -180,6 +184,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(admin.requests_served()));
   }
   admin.stop();
-  obs::arm_flight_recorder(false);
   return 0;
 }

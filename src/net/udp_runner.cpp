@@ -40,6 +40,7 @@ void UdpRunner::send_all(NodeId from, const std::vector<Outgoing>& out) {
   UdpEndpoint* endpoint = endpoint_of(from);
   if (endpoint == nullptr) {
     dropped_sends_ += out.size();
+    if (dropped_counter_ != nullptr) dropped_counter_->inc(out.size());
     return;
   }
   for (const auto& o : out) {

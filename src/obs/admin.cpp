@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "obs/export.h"
-#include "obs/flight.h"
 #include "obs/slo.h"
 
 #ifndef _WIN32
@@ -20,9 +19,11 @@ namespace cadet::obs {
 
 namespace {
 
+// MSG_NOSIGNAL: a scraper that resets the connection mid-response must
+// cost this request an EPIPE, not the whole process a SIGPIPE.
 void send_all(int fd, const char* data, std::size_t len) {
   while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, 0);
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
     if (n <= 0) return;
     data += n;
     len -= static_cast<std::size_t>(n);
@@ -141,14 +142,6 @@ void AdminServer::handle_connection(int client_fd) {
     send_response(client_fd,
                   slo_->any_firing() ? "503 Service Unavailable" : "200 OK",
                   "application/json", slo_->healthz_json());
-  } else if (std::strcmp(path, "/flight") == 0) {
-    if (flight_ == nullptr) {
-      send_response(client_fd, "404 Not Found", "text/plain",
-                    "no flight recorder wired\n");
-      return;
-    }
-    send_response(client_fd, "200 OK", "application/x-ndjson",
-                  flight_->dump_jsonl());
   } else {
     for (const Source& source : sources_) {
       if (source.path == path) {
@@ -157,7 +150,7 @@ void AdminServer::handle_connection(int client_fd) {
         return;
       }
     }
-    std::string paths = "paths: /metrics /healthz /flight";
+    std::string paths = "paths: /metrics /healthz";
     for (const Source& source : sources_) {
       paths += ' ';
       paths += source.path;

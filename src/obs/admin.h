@@ -2,7 +2,8 @@
 //
 //   GET /metrics   Prometheus exposition of the wired Registry
 //   GET /healthz   SLO engine state as JSON (503 while any rule fires)
-//   GET /flight    flight-recorder dump as JSONL
+//   GET <path>     whatever add_source registered, e.g. /flight (the
+//                  global tracer's ring as JSONL) or /shards
 //
 // One acceptor thread, one request per connection, Connection: close —
 // deliberately the dumbest server that a curl/Prometheus scraper is happy
@@ -24,7 +25,6 @@
 
 namespace cadet::obs {
 
-class FlightRecorder;
 class SloEngine;
 
 class AdminServer {
@@ -34,14 +34,14 @@ class AdminServer {
     int port = 0;  // 0 = ephemeral (port() reports the bound one)
   };
 
-  /// `slo` and `flight` may be null; their endpoints then report 404.
-  AdminServer(Registry* registry, SloEngine* slo, FlightRecorder* flight)
-      : registry_(registry), slo_(slo), flight_(flight) {}
+  /// `slo` may be null; /healthz then reports 404.
+  AdminServer(Registry* registry, SloEngine* slo)
+      : registry_(registry), slo_(slo) {}
   ~AdminServer();
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  /// Register an extra GET endpoint (e.g. "/shards" live scale progress).
+  /// Register an extra GET endpoint (e.g. "/flight" or "/shards").
   /// The callback runs on the acceptor thread per request, so it must be
   /// thread-safe with respect to whatever it snapshots. Register before
   /// start(); the path must begin with '/'.
@@ -77,7 +77,6 @@ class AdminServer {
   std::vector<Source> sources_;
   Registry* registry_;
   SloEngine* slo_;
-  FlightRecorder* flight_;
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_{0};

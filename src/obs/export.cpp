@@ -6,9 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <ostream>
 
-#include "obs/csv.h"
 #include "obs/hdr.h"
 
 namespace cadet::obs {
@@ -62,17 +60,6 @@ std::string format_double(double v) {
     std::snprintf(buf, sizeof(buf), "%.9g", v);
   }
   return buf;
-}
-
-void append_json_escaped(std::string& out, const std::string& value) {
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c; break;
-    }
-  }
 }
 
 const char* kind_name(Registry::Kind kind) {
@@ -133,80 +120,6 @@ std::string to_prometheus(const Registry& registry) {
     }
   }
   return out;
-}
-
-std::string to_json(const Registry& registry) {
-  std::string out = "{\"metrics\":[";
-  bool first = true;
-  for (const auto& entry : registry.entries()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + entry.name + "\",\"kind\":\"" +
-           kind_name(entry.kind) + "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [key, value] : entry.labels) {
-      if (!first_label) out += ',';
-      first_label = false;
-      out += '"' + key + "\":\"";
-      append_json_escaped(out, value);
-      out += '"';
-    }
-    out += '}';
-    switch (entry.kind) {
-      case Registry::Kind::kCounter:
-        out += ",\"value\":" + std::to_string(entry.counter->value());
-        break;
-      case Registry::Kind::kGauge:
-        out += ",\"value\":" + std::to_string(entry.gauge->value());
-        break;
-      case Registry::Kind::kHdr: {
-        const HdrSnapshot snap = entry.hdr->snapshot();
-        out += ",\"count\":" + std::to_string(snap.count) +
-               ",\"sum\":" + format_double(snap.sum_s) + ",\"buckets\":[";
-        bool first_cell = true;
-        for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-          if (snap.counts[i] == 0) continue;
-          if (!first_cell) out += ',';
-          first_cell = false;
-          out += "{\"le\":" +
-                 format_double(
-                     static_cast<double>(snap.layout.value_hi(i)) * 1e-9) +
-                 ",\"count\":" + std::to_string(snap.counts[i]) + '}';
-        }
-        out += ']';
-        break;
-      }
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
-void write_csv(const Registry& registry, std::ostream& out) {
-  out << csv_join({"name", "labels", "kind", "value"}) << '\n';
-  for (const auto& entry : registry.entries()) {
-    std::string labels;
-    for (const auto& [key, value] : entry.labels) {
-      if (!labels.empty()) labels += ';';
-      labels += key + '=' + value;
-    }
-    std::string value;
-    switch (entry.kind) {
-      case Registry::Kind::kCounter:
-        value = std::to_string(entry.counter->value());
-        break;
-      case Registry::Kind::kGauge:
-        value = std::to_string(entry.gauge->value());
-        break;
-      case Registry::Kind::kHdr:
-        value = std::to_string(entry.hdr->count()) + " obs, sum " +
-                format_double(entry.hdr->sum());
-        break;
-    }
-    out << csv_join({entry.name, labels, kind_name(entry.kind), value})
-        << '\n';
-  }
 }
 
 PromParse parse_prometheus(std::string_view text) {

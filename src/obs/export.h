@@ -1,7 +1,6 @@
-// Registry exporters: Prometheus text exposition, JSON snapshot, CSV.
+// Registry exporter: Prometheus text exposition, and its parser.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,12 +36,6 @@ struct PromParse {
 /// Parse Prometheus text exposition (the inverse of to_prometheus, used by
 /// the exporter round-trip tests and tools/cadet_report).
 PromParse parse_prometheus(std::string_view text);
-
-/// One JSON object: {"metrics":[{"name":...,"labels":{...},...}]}.
-std::string to_json(const Registry& registry);
-
-/// CSV with one row per series: name,labels,kind,value.
-void write_csv(const Registry& registry, std::ostream& out);
 
 /// Write `text` to `path` (helper for --metrics-out). Returns false and
 /// warns on failure.

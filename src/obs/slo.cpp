@@ -238,13 +238,13 @@ std::vector<SloEngine::Alert> SloEngine::tick(double now_s) {
     ++ticks_;
     hook = hook_;
   }
-  // Emit + hook outside the lock: the hook (flight-recorder dump) and the
+  // Emit + hook outside the lock: the hook (the --flight-out dump) and the
   // trace sink are free to call back into any_firing()/healthz_json().
   for (std::size_t t = 0; t < transitions.size(); ++t) {
     const Alert& alert = transitions[t];
     const std::size_t i = transition_rules[t];
-    // Structured alert record: rides the trace stream (and the flight
-    // recorder) so cadet_report can build an alert timeline. The rule is
+    // Structured alert record: rides the trace stream (and the tracer's
+    // ring) so cadet_report can build an alert timeline. The rule is
     // identified by its index (attrs are numeric); /healthz carries the
     // index -> name mapping.
     emit(static_cast<util::SimTime>(now_s * 1e9),

@@ -5,9 +5,9 @@
 // evaluates every rule against the live Registry each tick (sim-time ticks
 // from cadet_sim, wall-clock ticks from UdpRunner), tracks consecutive
 // breaches, and on the firing transition emits a structured "slo_alert"
-// trace event (which also lands in the flight recorder) and invokes the
-// alert hook — cadet_sim uses the hook to dump the flight recorder, so the
-// events *leading up to* the breach are preserved.
+// trace event (which also lands in the global tracer's ring) and invokes
+// the alert hook — cadet_sim uses the hook to write its --flight-out dump
+// of that ring, so the events *leading up to* the breach are preserved.
 //
 // Four condition kinds cover the protocol's failure modes:
 //   kLatencyBurn   fraction of *new* HDR observations above threshold_s
@@ -96,7 +96,7 @@ class SloEngine {
   }
 
   /// Called on every firing/recovery transition (after the trace event is
-  /// emitted). cadet_sim hooks the flight-recorder dump here. Set before
+  /// emitted). cadet_sim hooks its --flight-out dump here. Set before
   /// ticking starts; the hook runs outside the engine lock, so it may call
   /// back into any_firing()/healthz_json() without deadlocking.
   void set_alert_hook(std::function<void(const Alert&)> hook);

@@ -110,47 +110,14 @@ class SpanTracker {
   std::unordered_map<std::uint64_t, SpanContext> seq_map_;
 };
 
-namespace detail {
-#if CADET_OBS_ENABLED
-inline void emit_span(util::SimTime ts, const char* name, const char* tier,
-                      std::uint64_t node, SpanContext ctx,
-                      std::uint64_t parent, char phase,
-                      std::initializer_list<TraceEvent::Attr> attrs) noexcept {
-  Tracer& tracer = Tracer::global();
-  const bool traced = tracer.enabled();
-  const bool flight = g_flight_armed.load(std::memory_order_relaxed);
-  if (!traced && !flight) return;
-  TraceEvent event;
-  event.ts = ts;
-  event.name = name;
-  event.tier = tier;
-  event.node = node;
-  if (ctx.valid()) {
-    event.trace = ctx.trace;
-    event.span = ctx.span;
-    event.parent = parent;
-    event.phase = phase;
-  }
-  // else: span tracking is off (or the sender never bound a context) — the
-  // record degrades to the plain untagged event PR-1 emitted, so trace
-  // cardinality and every existing consumer are unchanged.
-  for (const auto& attr : attrs) {
-    if (event.num_attrs >= event.attrs.size()) break;
-    event.attrs[event.num_attrs++] = attr;
-  }
-  if (flight) flight_append(event);
-  if (traced) tracer.record(event);
-}
-#endif
-}  // namespace detail
-
 /// Open span ctx.span (parent 0 for a trace root).
 inline void span_begin(util::SimTime ts, const char* name, const char* tier,
                        std::uint64_t node, SpanContext ctx,
                        std::uint64_t parent = 0,
                        std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
 #if CADET_OBS_ENABLED
-  detail::emit_span(ts, name, tier, node, ctx, parent, 'B', attrs);
+  detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, parent, 'B',
+                    attrs);
 #else
   (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)parent;
   (void)attrs;
@@ -162,7 +129,8 @@ inline void span_end(util::SimTime ts, const char* name, const char* tier,
                      std::uint64_t node, SpanContext ctx,
                      std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
 #if CADET_OBS_ENABLED
-  detail::emit_span(ts, name, tier, node, ctx, 0, 'E', attrs);
+  detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, 0, 'E',
+                    attrs);
 #else
   (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)attrs;
 #endif
@@ -177,7 +145,8 @@ inline void span_complete(util::SimTime ts, const char* name,
                           SpanContext ctx, std::uint64_t parent,
                           std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
 #if CADET_OBS_ENABLED
-  detail::emit_span(ts, name, tier, node, ctx, parent, 'X', attrs);
+  detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, parent, 'X',
+                    attrs);
 #else
   (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)parent;
   (void)attrs;
@@ -189,7 +158,8 @@ inline void span_event(util::SimTime ts, const char* name, const char* tier,
                        std::uint64_t node, SpanContext ctx,
                        std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
 #if CADET_OBS_ENABLED
-  detail::emit_span(ts, name, tier, node, ctx, 0, 0, attrs);
+  detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, 0, 0,
+                    attrs);
 #else
   (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)attrs;
 #endif

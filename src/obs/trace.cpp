@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 
@@ -97,57 +98,52 @@ void FileSink::write(const TraceEvent& event) {
 
 // ----------------------------------------------------------------- Tracer
 
-Tracer::Tracer(std::size_t capacity) { set_capacity(capacity); }
-
-void Tracer::set_capacity(std::size_t capacity) {
-  ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
-  head_ = 0;
-  count_ = 0;
+void Tracer::set_sink(TraceSink* sink) {
+  util::MutexLock lock(mu_);
+  sink_ = sink;
 }
 
 void Tracer::record(const TraceEvent& event) noexcept {
-  if (!enabled_) return;
+  if (!enabled()) return;
+  util::MutexLock lock(mu_);
   ++recorded_;
-  if (count_ == ring_.size()) {
-    if (sink_ != nullptr) {
-      flush();
-    } else {
-      // Flight-recorder mode: overwrite the oldest.
-      ring_[head_] = event;
-      head_ = (head_ + 1) % ring_.size();
-      ++dropped_;
-      return;
-    }
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);
+  } else {
+    ring_[next_] = event;
+    next_ = (next_ + 1) % capacity_;
   }
-  ring_[(head_ + count_) % ring_.size()] = event;
-  ++count_;
+  // Under the lock: the sink sees events in the ring's order, and a sink
+  // need not be thread-safe.
+  if (sink_ != nullptr) sink_->write(event);
 }
 
-std::size_t Tracer::flush() {
-  const std::size_t drained = count_;
-  if (sink_ != nullptr) {
-    for (std::size_t i = 0; i < count_; ++i) {
-      sink_->write(ring_[(head_ + i) % ring_.size()]);
-    }
-  }
-  head_ = 0;
-  count_ = 0;
-  return drained;
+std::vector<TraceEvent> Tracer::recent() const {
+  util::MutexLock lock(mu_);
+  const auto oldest = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
+  std::vector<TraceEvent> out(oldest, ring_.end());
+  out.insert(out.end(), ring_.begin(), oldest);
+  return out;
 }
 
-std::vector<TraceEvent> Tracer::buffered() const {
-  std::vector<TraceEvent> out;
-  out.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
+std::string Tracer::recent_jsonl() const {
+  std::string out;
+  for (const TraceEvent& event : recent()) {
+    out += to_json(event);
+    out += '\n';
   }
   return out;
 }
 
+std::uint64_t Tracer::recorded() const {
+  util::MutexLock lock(mu_);
+  return recorded_;
+}
+
 void Tracer::clear() {
-  head_ = 0;
-  count_ = 0;
-  dropped_ = 0;
+  util::MutexLock lock(mu_);
+  ring_.clear();
+  next_ = 0;
   recorded_ = 0;
 }
 

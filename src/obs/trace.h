@@ -1,12 +1,12 @@
 // Sim-time event tracer: structured protocol events (request / reply /
 // upload / penalty / cache-hit / refill / mix / ...) stamped with simulator
-// time, buffered in a fixed-capacity ring and drained to pluggable sinks as
-// JSONL.
+// time, kept in a ring of the newest events and passed to a pluggable sink
+// (a JSONL file for --trace-out) as they are recorded.
 //
 // Hot-path contract: record() is a no-op unless the tracer is enabled, and
 // with CADET_OBS=OFF the emit helpers compile away entirely. Events are
 // small PODs — names and attribute keys must be string literals (static
-// storage), so recording never allocates.
+// storage), so an event never owns heap memory.
 //
 // One JSONL line per event:
 //   {"ts":1.234567,"ev":"cache_hit","tier":"edge","node":100,"bytes":64}
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "obs/metrics.h"  // for CADET_OBS_ENABLED
+#include "util/thread_annotations.h"
 #include "util/time.h"
 
 namespace cadet::obs {
@@ -54,7 +55,7 @@ struct TraceEvent {
 /// Serialize one event as a single JSON object (no trailing newline).
 std::string to_json(const TraceEvent& event);
 
-/// Where drained events go.
+/// Where recorded events go.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -88,87 +89,99 @@ class MemorySink final : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// Ring-buffer tracer. Disabled (and free) by default; enable() turns
-/// recording on. When the ring fills: with a sink attached the buffered
-/// events are flushed through first (lossless file tracing), without one
-/// the oldest event is overwritten (bounded-memory flight recorder).
+/// The one event ring. Disabled by default, and it holds no memory until
+/// it first records. Once enabled it keeps the newest `capacity` events
+/// (the oldest is overwritten) and passes each event to the attached sink
+/// as it records it, so a file sink sees every event in record order while
+/// the ring serves last-N dumps (cadet_sim --flight-out, the admin /flight
+/// endpoint). The mutex lets another thread (the admin acceptor) copy the
+/// ring out while the engines record.
 class Tracer {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
+  static constexpr std::size_t kDefaultCapacity = 4096;
 
-  explicit Tracer(std::size_t capacity = kDefaultCapacity);
+  explicit Tracer(std::size_t capacity = kDefaultCapacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const noexcept { return ring_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
 
-  void enable(bool on = true) noexcept { enabled_ = on; }
-  bool enabled() const noexcept { return enabled_; }
+  /// Disabling keeps the ring, so a dump after the run still reads it.
+  void enable(bool on = true) noexcept {
+    enabled_.store(on, std::memory_order_relaxed);
+  }
+  bool enabled() const noexcept {
+    return enabled_.load(std::memory_order_relaxed);
+  }
 
   /// Attach a sink (not owned). Pass nullptr to detach.
-  void set_sink(TraceSink* sink) noexcept { sink_ = sink; }
+  void set_sink(TraceSink* sink);
 
   void record(const TraceEvent& event) noexcept;
 
-  /// Drain every buffered event, oldest first, to the sink (if any) and
-  /// clear the ring. Returns the number of events drained.
-  std::size_t flush();
+  /// Copy of the ring, oldest first.
+  std::vector<TraceEvent> recent() const;
+  /// recent() rendered through to_json, one line per event.
+  std::string recent_jsonl() const;
 
-  /// Copy out the buffered events, oldest first, without clearing.
-  std::vector<TraceEvent> buffered() const;
+  /// Events recorded since construction or the last clear().
+  std::uint64_t recorded() const;
 
-  std::size_t buffered_count() const noexcept { return count_; }
-  /// Events overwritten because the ring was full and no sink was attached.
-  std::uint64_t dropped() const noexcept { return dropped_; }
-  std::uint64_t recorded() const noexcept { return recorded_; }
-
+  /// Empty the ring and zero recorded().
   void clear();
 
   /// Process-wide tracer the protocol engines emit to.
   static Tracer& global();
 
  private:
-  bool enabled_ = false;
-  TraceSink* sink_ = nullptr;
-  std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;  // index of the oldest buffered event
-  std::size_t count_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t recorded_ = 0;
+  const std::size_t capacity_;
+  std::atomic<bool> enabled_{false};
+  mutable util::Mutex mu_;
+  TraceSink* sink_ CADET_GUARDED_BY(mu_) = nullptr;
+  std::vector<TraceEvent> ring_ CADET_GUARDED_BY(mu_);
+  // Oldest event once the ring is full (the slot the next event takes).
+  std::size_t next_ CADET_GUARDED_BY(mu_) = 0;
+  std::uint64_t recorded_ CADET_GUARDED_BY(mu_) = 0;
 };
 
 #if CADET_OBS_ENABLED
 namespace detail {
-/// Flight-recorder hooks (defined in flight.cpp; declared here so emit()
-/// can feed the recorder without trace.h depending on flight.h). The armed
-/// flag is a single relaxed load on the hot path.
-extern std::atomic<bool> g_flight_armed;
-void flight_append(const TraceEvent& event) noexcept;
-}  // namespace detail
-#endif
-
-/// Emit helper used by the engines: compiled out with CADET_OBS=OFF, and a
-/// single predictable branch when both tracing and the flight recorder are
-/// off at runtime.
-inline void emit(util::SimTime ts, const char* name, const char* tier,
-                 std::uint64_t node,
-                 std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
-#if CADET_OBS_ENABLED
+/// The one emit body behind obs::emit and the span helpers (obs/span.h):
+/// a single flag test while tracing is off, else one record into the
+/// global ring. `trace` == 0 (span tracking off, or a sender that never
+/// bound a context) is a plain event: the span fields stay unset.
+inline void emit_span(util::SimTime ts, const char* name, const char* tier,
+                      std::uint64_t node, std::uint64_t trace,
+                      std::uint64_t span, std::uint64_t parent, char phase,
+                      std::initializer_list<TraceEvent::Attr> attrs) noexcept {
   Tracer& tracer = Tracer::global();
-  const bool traced = tracer.enabled();
-  const bool flight =
-      detail::g_flight_armed.load(std::memory_order_relaxed);
-  if (!traced && !flight) return;
+  if (!tracer.enabled()) return;
   TraceEvent event;
   event.ts = ts;
   event.name = name;
   event.tier = tier;
   event.node = node;
+  if (trace != 0) {
+    event.trace = trace;
+    event.span = span;
+    event.parent = parent;
+    event.phase = phase;
+  }
   for (const auto& attr : attrs) {
     if (event.num_attrs >= event.attrs.size()) break;
     event.attrs[event.num_attrs++] = attr;
   }
-  if (flight) detail::flight_append(event);
-  if (traced) tracer.record(event);
+  tracer.record(event);
+}
+}  // namespace detail
+#endif
+
+/// Emit helper used by the engines: compiled out with CADET_OBS=OFF, and a
+/// single predictable branch when tracing is off at runtime.
+inline void emit(util::SimTime ts, const char* name, const char* tier,
+                 std::uint64_t node,
+                 std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
+#if CADET_OBS_ENABLED
+  detail::emit_span(ts, name, tier, node, 0, 0, 0, 0, attrs);
 #else
   (void)ts; (void)name; (void)tier; (void)node; (void)attrs;
 #endif

@@ -3,8 +3,9 @@
 # cadet_report --check must find the span trees well-formed and join the
 # trace against the snapshot without disagreement (the edge-requests and
 # cache-hits rows pin the offload ratio), and the folded profile and HTML
-# report must materialize with the expected shape. Fabricated broken
-# traces must fail --check, each for its own rule.
+# report must materialize with the expected shape. Two same-seed runs must
+# write the same sim-time folded profile. Fabricated broken traces must
+# fail --check, each for its own rule.
 file(MAKE_DIRECTORY ${WORK_DIR})
 execute_process(
   COMMAND ${TOOL_DIR}/cadet_sim --networks 2 --clients 4 --duration 120
@@ -70,6 +71,24 @@ file(READ ${WORK_DIR}/p.folded folded)
 string(FIND "${folded}" "sim.run;" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "folded profile has no sim.run stacks:\n${folded}")
+endif()
+
+# Sim time, not wall time: a second run with the same seed and flags must
+# write the same folded profile byte for byte.
+execute_process(
+  COMMAND ${TOOL_DIR}/cadet_sim --networks 2 --clients 4 --duration 120
+          --seed 7 --metrics-out ${WORK_DIR}/m2.txt
+          --trace-out ${WORK_DIR}/t2.jsonl
+          --profile-out ${WORK_DIR}/p2.folded
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "second cadet_sim run failed: ${rc}")
+endif()
+file(READ ${WORK_DIR}/p2.folded folded2)
+if(NOT folded STREQUAL folded2)
+  message(FATAL_ERROR
+    "same-seed runs wrote different folded profiles:\n${folded}\n---\n"
+    "${folded2}")
 endif()
 
 # Each fabricated trace breaks one rule; --check must reject it without

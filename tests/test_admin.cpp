@@ -1,5 +1,6 @@
-// AdminServer: ephemeral bind, the three endpoints (status codes + body
-// shape), 404/405 handling, null-wiring behavior, and clean stop().
+// AdminServer: ephemeral bind, the endpoints (status codes + body shape),
+// 404/405 handling, null-wiring behavior, scrapers that hang up, and clean
+// stop().
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -7,11 +8,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "obs/admin.h"
-#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -21,16 +24,17 @@ namespace {
 
 // Blocking one-shot HTTP exchange against 127.0.0.1:port. Returns the full
 // response (headers + body); empty string on connect failure.
-std::string http_request(int port, const std::string& request) {
+// Connected loopback socket with `request` sent, or -1.
+int send_request(int port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
   std::size_t sent = 0;
   while (sent < request.size()) {
@@ -39,6 +43,12 @@ std::string http_request(int port, const std::string& request) {
     if (n <= 0) break;
     sent += static_cast<std::size_t>(n);
   }
+  return fd;
+}
+
+std::string http_request(int port, const std::string& request) {
+  const int fd = send_request(port, request);
+  if (fd < 0) return "";
   std::string response;
   char buf[4096];
   while (true) {
@@ -57,8 +67,7 @@ std::string http_get(int port, const std::string& path) {
 struct AdminFixture {
   Registry registry;
   SloEngine slo{&registry};
-  FlightRecorder flight{256};
-  AdminServer server{&registry, &slo, &flight};
+  AdminServer server{&registry, &slo};
 
   bool start() { return server.start(AdminServer::Options{}); }
 };
@@ -106,15 +115,20 @@ TEST(AdminServer, HealthzFlips503WhileFiring) {
   f.server.stop();
 }
 
-#if CADET_OBS_ENABLED  // the no-obs flight stub records nothing to serve
+// /flight as cadet_sim and udp_live wire it: a source serving a tracer's
+// ring of the newest events.
 TEST(AdminServer, FlightEndpointReturnsJsonl) {
   AdminFixture f;
+  Tracer tracer;
+  tracer.enable();
   TraceEvent e;
   e.ts = 1000;
   e.name = "boot";
   e.tier = "test";
   e.node = 9;
-  f.flight.append(e);
+  tracer.record(e);
+  f.server.add_source("/flight", "application/x-ndjson",
+                      [&tracer] { return tracer.recent_jsonl(); });
   ASSERT_TRUE(f.start());
   const std::string response = http_get(f.server.port(), "/flight");
   EXPECT_NE(response.find("200"), std::string::npos);
@@ -129,7 +143,6 @@ TEST(AdminServer, FlightEndpointReturnsJsonl) {
   EXPECT_EQ(parsed->node, 9u);
   f.server.stop();
 }
-#endif  // CADET_OBS_ENABLED
 
 TEST(AdminServer, UnknownPathIs404AndNonGetIs405) {
   AdminFixture f;
@@ -144,7 +157,7 @@ TEST(AdminServer, UnknownPathIs404AndNonGetIs405) {
 
 TEST(AdminServer, NullWiringReports404) {
   Registry registry;
-  AdminServer server(&registry, nullptr, nullptr);
+  AdminServer server(&registry, nullptr);
   ASSERT_TRUE(server.start(AdminServer::Options{}));
   EXPECT_NE(http_get(server.port(), "/healthz").find("404"),
             std::string::npos);
@@ -171,6 +184,35 @@ TEST(AdminServer, CustomSourceServesRenderedContent) {
   EXPECT_EQ(calls, 1);
   // The 404 listing advertises the registered path.
   EXPECT_NE(http_get(f.server.port(), "/nope").find("/shards"),
+            std::string::npos);
+  f.server.stop();
+}
+
+// A scraper that resets its connection while the server prepares a
+// multi-megabyte body must cost that request, not the process: without
+// MSG_NOSIGNAL the send after the reset raises SIGPIPE and kills it.
+TEST(AdminServer, ScraperResetDoesNotKillTheProcess) {
+  AdminFixture f;
+  std::atomic<int> rendering{0};
+  std::atomic<int> reset{0};
+  f.server.add_source("/big", "text/plain", [&rendering, &reset] {
+    const int request = rendering.fetch_add(1) + 1;
+    while (reset.load() < request) std::this_thread::yield();
+    return std::string(std::size_t{4} << 20, 'x');
+  });
+  ASSERT_TRUE(f.start());
+  for (int i = 1; i <= 10; ++i) {
+    const int fd = send_request(f.server.port(), "GET /big HTTP/1.0\r\n\r\n");
+    ASSERT_GE(fd, 0);
+    while (rendering.load() < i) std::this_thread::yield();
+    const linger abort_on_close{1, 0};  // close() sends RST
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_on_close,
+                 sizeof abort_on_close);
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    reset.store(i);
+  }
+  EXPECT_NE(http_get(f.server.port(), "/metrics").find("200 OK"),
             std::string::npos);
   f.server.stop();
 }

@@ -265,7 +265,6 @@ TEST(Adversary, SameSeedReplaysByteIdentical) {
     tracer.set_sink(&sink);
     tracer.enable(true);
     (void)run_scenario(cfg);
-    tracer.flush();
     tracer.enable(false);
     tracer.set_sink(nullptr);
     std::string jsonl;

@@ -143,7 +143,6 @@ TEST(Chaos, SameSeedReplaysByteIdentical) {
     tracer.set_sink(&sink);
     tracer.enable(true);
     (void)run_scenario(cfg);
-    tracer.flush();
     tracer.enable(false);
     tracer.set_sink(nullptr);
     std::string jsonl;

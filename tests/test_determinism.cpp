@@ -38,7 +38,6 @@ std::string run_trace(std::uint64_t seed) {
   }
   world.simulator().run_until(t_end);
 
-  tracer.flush();
   tracer.enable(false);
   tracer.set_sink(nullptr);
 

@@ -1,22 +1,18 @@
-// FlightRecorder: ring semantics (overwrite, order, wrap), seqlock dump
-// consistency under concurrent writers, JSONL formats (including the
-// async-signal-safe fd path), and the emit() arming hook.
+// The tracer's ring of the newest events, which backs the flight dumps
+// (cadet_sim --flight-out, the admin /flight endpoint): order, wrap, clear,
+// JSONL, the emit hook, and writers racing a dumping reader.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/flight.h"
 #include "obs/trace.h"
 
 namespace cadet::obs {
 namespace {
-
-#if CADET_OBS_ENABLED
 
 TraceEvent make_event(std::uint64_t n) {
   TraceEvent e;
@@ -27,27 +23,23 @@ TraceEvent make_event(std::uint64_t n) {
   return e;
 }
 
-TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
-  FlightRecorder r(100);
-  EXPECT_EQ(r.capacity(), 128u);
-}
-
 TEST(FlightRecorder, DumpIsOldestFirst) {
-  FlightRecorder r(8);
-  for (std::uint64_t i = 0; i < 5; ++i) r.append(make_event(i));
-  const auto events = r.dump();
+  Tracer r(8);
+  r.enable();
+  for (std::uint64_t i = 0; i < 5; ++i) r.record(make_event(i));
+  const auto events = r.recent();
   ASSERT_EQ(events.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(events[i].node, i);
   }
-  EXPECT_EQ(r.appended(), 5u);
-  EXPECT_EQ(r.dropped(), 0u);
+  EXPECT_EQ(r.recorded(), 5u);
 }
 
 TEST(FlightRecorder, WrapKeepsTheLastCapacityEvents) {
-  FlightRecorder r(8);
-  for (std::uint64_t i = 0; i < 20; ++i) r.append(make_event(i));
-  const auto events = r.dump();
+  Tracer r(8);
+  r.enable();
+  for (std::uint64_t i = 0; i < 20; ++i) r.record(make_event(i));
+  const auto events = r.recent();
   ASSERT_EQ(events.size(), 8u);
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].node, 12 + i);  // events 12..19 survive
@@ -55,20 +47,22 @@ TEST(FlightRecorder, WrapKeepsTheLastCapacityEvents) {
 }
 
 TEST(FlightRecorder, ClearEmpties) {
-  FlightRecorder r(8);
-  r.append(make_event(1));
+  Tracer r(8);
+  r.enable();
+  r.record(make_event(1));
   r.clear();
-  EXPECT_TRUE(r.dump().empty());
-  EXPECT_EQ(r.appended(), 0u);
+  EXPECT_TRUE(r.recent().empty());
+  EXPECT_EQ(r.recorded(), 0u);
 }
 
 TEST(FlightRecorder, DumpJsonlParsesBack) {
-  FlightRecorder r(8);
+  Tracer r(8);
+  r.enable();
   TraceEvent e = make_event(7);
   e.attrs[0] = {"bytes", 64.0};
   e.num_attrs = 1;
-  r.append(e);
-  const std::string jsonl = r.dump_jsonl();
+  r.record(e);
+  const std::string jsonl = r.recent_jsonl();
   std::istringstream lines(jsonl);
   std::string line;
   ASSERT_TRUE(std::getline(lines, line));
@@ -78,105 +72,68 @@ TEST(FlightRecorder, DumpJsonlParsesBack) {
   EXPECT_EQ(parsed->tier, "test");
   EXPECT_EQ(parsed->node, 7u);
   EXPECT_DOUBLE_EQ(parsed->attr("bytes"), 64.0);
+  EXPECT_FALSE(std::getline(lines, line));
 }
 
-TEST(FlightRecorder, DumpToFdMatchesParser) {
-  FlightRecorder r(8);
-  for (std::uint64_t i = 0; i < 3; ++i) r.append(make_event(i));
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  const std::size_t written = r.dump_to_fd(fileno(tmp));
-  EXPECT_EQ(written, 3u);
-  std::fflush(tmp);
-  std::rewind(tmp);
-  char buf[4096];
-  const std::size_t got = std::fread(buf, 1, sizeof buf, tmp);
-  std::fclose(tmp);
-  std::istringstream lines(std::string(buf, got));
-  std::string line;
-  std::size_t parsed_count = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    const auto parsed = parse_json_line(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    EXPECT_EQ(parsed->node, parsed_count);
-    ++parsed_count;
-  }
-  EXPECT_EQ(parsed_count, 3u);
-}
-
+#if CADET_OBS_ENABLED  // emit() compiles to nothing with CADET_OBS=OFF
 TEST(FlightRecorder, EmitFeedsGlobalWhenArmed) {
-  FlightRecorder& g = FlightRecorder::global();
+  Tracer& g = Tracer::global();
   g.clear();
-  ASSERT_FALSE(flight_recorder_armed());
+  ASSERT_FALSE(g.enabled());
   emit(1000, "ignored", "test", 1);
-  EXPECT_TRUE(g.dump().empty());
+  EXPECT_TRUE(g.recent().empty());
 
-  arm_flight_recorder(true);
-  EXPECT_TRUE(flight_recorder_armed());
+  g.enable();
   emit(2000, "captured", "test", 2, {{"k", 3.0}});
-  arm_flight_recorder(false);
+  g.enable(false);
 
-  const auto events = g.dump();
+  const auto events = g.recent();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "captured");
   EXPECT_EQ(events[0].node, 2u);
   g.clear();
 }
+#endif  // CADET_OBS_ENABLED
 
-// Concurrent writers racing a dumping reader: every dumped record must be
-// internally consistent (the seqlock discards torn slots), and nothing is
-// lost short of a full writer lap.
+// Writers racing a dumping reader: every dump is oldest first (each
+// writer's events in its own order), the sink sees every event, and the
+// ring ends full.
 TEST(FlightRecorder, ConcurrentAppendAndDump) {
-  constexpr int kWriters = 4;
+  constexpr std::uint64_t kWriters = 4;
   constexpr std::uint64_t kPerWriter = 5000;
-  FlightRecorder r(1024);
+  Tracer r(1024);
+  MemorySink sink;
+  r.set_sink(&sink);
+  r.enable();
   std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&r, w]() {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         TraceEvent e;
         e.ts = static_cast<util::SimTime>(i);
         e.name = "w";
         e.tier = "test";
-        e.node = static_cast<std::uint64_t>(w) * kPerWriter + i;
-        r.append(e);
+        e.node = w * kPerWriter + i;
+        r.record(e);
       }
     });
   }
   for (int pass = 0; pass < 50; ++pass) {
-    const auto events = r.dump();
-    for (const TraceEvent& e : events) {
-      // A torn record would mix fields from different writers; tier/name
-      // are constant so node is the telltale.
+    std::vector<std::uint64_t> next(kWriters, 0);
+    for (const TraceEvent& e : r.recent()) {
       ASSERT_STREQ(e.tier, "test");
       ASSERT_LT(e.node, kWriters * kPerWriter);
+      const std::uint64_t w = e.node / kPerWriter;
+      ASSERT_GE(e.node, next[w]);
+      next[w] = e.node + 1;
     }
   }
   for (auto& t : writers) t.join();
-  EXPECT_EQ(r.appended() + r.dropped(), kWriters * kPerWriter);
-  // Every final-lap drop can leave one slot holding a stale previous-lap
-  // record, which dump() rightly skips — so "full" is capacity minus the
-  // conflict drops, not exactly capacity.
-  const auto final_dump = r.dump();
-  EXPECT_LE(final_dump.size(), r.capacity());
-  EXPECT_GE(final_dump.size() + r.dropped(), r.capacity());
+  r.set_sink(nullptr);
+  EXPECT_EQ(r.recorded(), kWriters * kPerWriter);
+  EXPECT_EQ(sink.events().size(), kWriters * kPerWriter);
+  EXPECT_EQ(r.recent().size(), r.capacity());
 }
-
-#else  // !CADET_OBS_ENABLED
-
-TEST(FlightRecorder, StubIsInertWithoutObs) {
-  FlightRecorder r(8);
-  TraceEvent e;
-  r.append(e);
-  EXPECT_TRUE(r.dump().empty());
-  EXPECT_EQ(r.appended(), 0u);
-  EXPECT_EQ(r.dropped(), 0u);
-  arm_flight_recorder(true);
-  EXPECT_FALSE(flight_recorder_armed());
-}
-
-#endif  // CADET_OBS_ENABLED
 
 }  // namespace
 }  // namespace cadet::obs

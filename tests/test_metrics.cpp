@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <sstream>
 #include <thread>
 
 #include "obs/export.h"
@@ -137,20 +136,6 @@ TEST(Export, PrometheusTextContainsAllSeries) {
             std::string::npos);
   EXPECT_NE(text.find("cadet_test_latency_seconds_count 1"),
             std::string::npos);
-}
-
-TEST(Export, JsonAndCsvSnapshots) {
-  Registry reg;
-  reg.counter("cadet_test_hits", tier_labels("edge", 100)).inc(9);
-
-  const std::string json = to_json(reg);
-  EXPECT_NE(json.find("\"name\":\"cadet_test_hits\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\":9"), std::string::npos);
-
-  std::ostringstream csv;
-  write_csv(reg, csv);
-  EXPECT_NE(csv.str().find("name,labels,kind,value"), std::string::npos);
-  EXPECT_NE(csv.str().find("cadet_test_hits"), std::string::npos);
 }
 
 }  // namespace

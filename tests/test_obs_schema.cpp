@@ -193,7 +193,6 @@ class GlobalTrace {
   GlobalTrace& operator=(const GlobalTrace&) = delete;
 
   const std::vector<obs::TraceEvent>& events() {
-    obs::Tracer::global().flush();
     return sink_.events();
   }
 
@@ -243,7 +242,6 @@ Exports scale_exports() {
   world.set_tracer(&tracer);
   world.enable_tracing(true);
   world.run();
-  tracer.flush();
   obs::Registry registry;
   world.publish_metrics(registry);
   Exports out;

@@ -428,14 +428,12 @@ TEST(ScaleWorld, RetryChainMatchesTheEngines) {
   std::size_t checked = 0;
   util::SimTime window_start = 0;
   world.set_window_hook([&](const ScaleWorld::WindowReport& report) {
-    tracer.flush();
     for (; checked < sink.events().size(); ++checked) {
       ASSERT_GE(sink.events()[checked].ts, window_start) << checked;
     }
     window_start = report.watermark;
   });
   world.run();
-  tracer.flush();
 
   const ScaleStats stats = world.stats();
   ASSERT_GT(stats.requests_sent, 10u);

@@ -67,7 +67,6 @@ Exports traced_run(const ScaleConfig& config, std::size_t workers) {
     util::TaskPool pool(workers);
     world.run(pool_executor(pool));
   }
-  tracer.flush();
   world.publish_metrics(registry);
 
   Exports out;
@@ -161,7 +160,6 @@ TEST(ScaleObs, WindowFoldRespectsWatermark) {
     // Boundary deliveries run up to two windows ahead of the barrier, so
     // the fold must hold those back: nothing at or past the watermark may
     // have reached the sink yet.
-    tracer.flush();
     for (const obs::TraceEvent& event : sink.events()) {
       ASSERT_LT(event.ts, report.watermark);
     }

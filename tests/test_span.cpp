@@ -79,7 +79,6 @@ TEST(SpanEmit, InvalidContextDegradesToPlainEvent) {
   span_complete(util::from_seconds(1.0), "cache_hit", "edge", 100,
                 {5, 6}, 5);
 
-  tracer.flush();
   tracer.enable(false);
   tracer.set_sink(nullptr);
 
@@ -123,7 +122,6 @@ std::vector<TraceEvent> run_traced_world(std::uint64_t seed) {
   }
   world.simulator().run_until(t_end);
 
-  tracer.flush();
   tracer.enable(false);
   tracer.set_sink(nullptr);
   SpanTracker::global().enable(false);

@@ -23,10 +23,15 @@ TraceEvent make_event(double ts_s, const char* name, std::uint64_t node) {
 TEST(Tracer, DisabledByDefaultAndRecordsWhenEnabled) {
   Tracer tracer(8);
   tracer.record(make_event(1.0, "request", 100));
-  EXPECT_EQ(tracer.buffered_count(), 0u);
+  EXPECT_TRUE(tracer.recent().empty());
   tracer.enable();
   tracer.record(make_event(1.0, "request", 100));
-  EXPECT_EQ(tracer.buffered_count(), 1u);
+  EXPECT_EQ(tracer.recent().size(), 1u);
+  EXPECT_EQ(tracer.recorded(), 1u);
+  // Disabling stops recording but keeps the ring for a later dump.
+  tracer.enable(false);
+  tracer.record(make_event(2.0, "reply", 100));
+  EXPECT_EQ(tracer.recent().size(), 1u);
   EXPECT_EQ(tracer.recorded(), 1u);
 }
 
@@ -37,14 +42,12 @@ TEST(Tracer, RingWraparoundKeepsNewestWithoutSink) {
     tracer.record(make_event(static_cast<double>(i), "request",
                              static_cast<std::uint64_t>(i)));
   }
-  EXPECT_EQ(tracer.buffered_count(), 4u);
-  EXPECT_EQ(tracer.dropped(), 3u);
   EXPECT_EQ(tracer.recorded(), 7u);
-  const auto buffered = tracer.buffered();
-  ASSERT_EQ(buffered.size(), 4u);
+  const auto recent = tracer.recent();
+  ASSERT_EQ(recent.size(), 4u);
   // Oldest-first: events 3,4,5,6 survive.
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(buffered[i].node, i + 3);
+    EXPECT_EQ(recent[i].node, i + 3);
   }
 }
 
@@ -57,12 +60,15 @@ TEST(Tracer, FullRingFlushesThroughSinkLosslessly) {
     tracer.record(make_event(static_cast<double>(i), "upload",
                              static_cast<std::uint64_t>(i)));
   }
-  tracer.flush();
-  EXPECT_EQ(tracer.dropped(), 0u);
+  // The sink sees every event in record order; the ring keeps the newest.
   ASSERT_EQ(sink.events().size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(sink.events()[i].node, i);  // order preserved
+    EXPECT_EQ(sink.events()[i].node, i);
   }
+  const auto recent = tracer.recent();
+  ASSERT_EQ(recent.size(), 2u);
+  EXPECT_EQ(recent[0].node, 3u);
+  EXPECT_EQ(recent[1].node, 4u);
 }
 
 TEST(TraceJson, RoundTripsThroughParser) {
@@ -110,7 +116,6 @@ TEST(FileSink, WritesOneValidJsonObjectPerLine) {
       event.num_attrs = 1;
       tracer.record(event);
     }
-    tracer.flush();
   }
 
   std::ifstream in(path);
@@ -138,7 +143,6 @@ TEST(Emit, GlobalTracerCapturesEngineEvents) {
 
   emit(util::from_seconds(2.0), "penalty_drop", "edge", 100,
        {{"client", 1003.0}});
-  tracer.flush();
 
   tracer.enable(false);
   tracer.set_sink(nullptr);

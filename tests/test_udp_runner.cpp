@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cadet/cadet.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace cadet::net {
@@ -42,13 +43,23 @@ TEST(UdpRunner, RepliesFlowBack) {
   EXPECT_TRUE(runner.pump_until([&] { return echoed; }, 2000));
 }
 
+// Both drop paths (unknown destination, unknown sender) count in
+// dropped_sends() and in the cadet_net_dropped counter alike.
 TEST(UdpRunner, UnknownDestinationCounted) {
+  obs::Registry registry;
   UdpRunner runner;
+  runner.bind_metrics(registry);
+  const obs::Counter& dropped = registry.counter(
+      "cadet_net_dropped", {{"tier", "net"}, {"transport", "udp"}});
   runner.add_node(1, [](NodeId, util::BytesView, util::SimTime) {
     return std::vector<Outgoing>{};
   });
   runner.send_all(1, {{99, util::Bytes{1}}});
   EXPECT_EQ(runner.dropped_sends(), 1u);
+  EXPECT_EQ(dropped.value(), 1u);
+  runner.send_all(42, {{1, util::Bytes{1}}, {1, util::Bytes{2}}});
+  EXPECT_EQ(runner.dropped_sends(), 3u);
+  EXPECT_EQ(dropped.value(), runner.dropped_sends());
 }
 
 TEST(UdpRunner, FullProtocolOverRealSockets) {

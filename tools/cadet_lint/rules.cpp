@@ -401,17 +401,16 @@ void check_unchecked_return(const SourceFile& file,
 }
 
 // ---------------------------------------------------------------------------
-// obs-hot-path: the metric/trace emit helpers run on packet hot paths and
-// (for the flight recorder) inside signal handlers. They must be declared
-// noexcept, and their signatures must not take allocation-prone std types
-// — an emit that can throw or allocate is an emit that can deadlock a
-// signal handler or stall the poll loop.
+// obs-hot-path: the metric/trace emit helpers run on packet hot paths.
+// They must be declared noexcept, and their signatures must not take
+// allocation-prone std types — an emit that can throw or allocate is an
+// emit that can stall the poll loop.
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kHotHelpers[] = {
     "inc",        "add",       "sub",           "set",
     "observe",    "record",    "append",        "emit",
-    "emit_span",  "flight_append",
+    "emit_span",
     "span_begin", "span_end",  "span_complete", "span_event",
 };
 
@@ -499,7 +498,7 @@ void check_obs_hot_path(const SourceFile& file, std::vector<Finding>& out) {
           add(out, file, i + 1, "obs-hot-path",
               "hot-path emit helper '" + std::string(name) +
                   "' is not noexcept; emit paths must not throw (they run "
-                  "on packet hot paths and in signal handlers)");
+                  "on packet hot paths)");
         }
         for (const auto type : kAllocProneTypes) {
           if (signature.find(type) != std::string::npos) {

@@ -32,7 +32,6 @@
 #include "testbed/adversary.h"
 #include "obs/admin.h"
 #include "obs/export.h"
-#include "obs/flight.h"
 #include "obs/profile.h"
 #include "obs/slo.h"
 #include "obs/span.h"
@@ -50,7 +49,7 @@ using namespace cadet::testbed;
 
 // SIGINT/SIGTERM request a graceful stop: the chunked run loop polls the
 // flag between simulated-time slices, so an interrupted long run still
-// flushes --metrics-out/--trace-out and dumps the flight recorder instead
+// flushes --metrics-out/--trace-out and writes the --flight-out dump instead
 // of losing everything. A second signal falls back to the default action.
 volatile std::sig_atomic_t g_stop_signal = 0;
 
@@ -76,7 +75,7 @@ struct Options {
   std::string metrics_out;  // Prometheus snapshot path ("" = off)
   std::string trace_out;    // JSONL trace path ("" = off)
   std::string profile_out;  // folded-stack profile path ("" = off)
-  std::string flight_out;   // flight-recorder JSONL dump path ("" = off)
+  std::string flight_out;   // last-N trace events JSONL dump path ("" = off)
   bool no_spans = false;    // --trace-out without span/provenance ids
   int admin_port = -1;      // -1 = no admin endpoint; 0 = ephemeral port
   std::vector<std::string> slo_rules;  // parse_slo_rule specs / "default"
@@ -141,8 +140,8 @@ void usage(const char* argv0) {
       "  --no-spans          emit the trace without span ids (PR-1 layout)\n"
       "  --profile-out FILE  write the sim profiler as folded stacks\n"
       "                      (flamegraph.pl-compatible)\n"
-      "  --flight-out FILE   dump the flight recorder as JSONL at exit\n"
-      "                      (also on SIGINT/SIGTERM and SLO alerts)\n"
+      "  --flight-out FILE   dump the newest 4096 trace events as JSONL\n"
+      "                      at exit (also on SIGINT/SIGTERM and SLO alerts)\n"
       "  --admin-port N      serve /metrics /healthz /flight on\n"
       "                      127.0.0.1:N while the sim runs (0 = ephemeral)\n"
       "  --slo RULE          add a watchdog rule\n"
@@ -525,7 +524,7 @@ int run_scale(const Options& opt) {
   std::unique_ptr<obs::SloEngine> slo;
   if (!make_slo(opt, registry, nullptr, slo)) return 2;
 
-  obs::AdminServer admin(&registry, slo.get(), nullptr);
+  obs::AdminServer admin(&registry, slo.get());
   // The /shards snapshot is rebuilt by the window hook (main thread) and
   // served from the acceptor thread; the mutex hands the string across.
   std::mutex shards_mu;
@@ -674,7 +673,6 @@ int run_scale(const Options& opt) {
   // ---- artifact flush (same order as the per-node path) ----
   if (trace_sink) {
     world.set_tracer(nullptr);
-    tracer.flush();
     tracer.enable(false);
     tracer.set_sink(nullptr);
     std::printf("trace: %llu event(s) -> %s\n",
@@ -789,13 +787,11 @@ int main(int argc, char** argv) {
     obs::Profiler::global().reset();
     obs::Profiler::global().enable();
   }
-  // Arm the flight recorder before any protocol traffic so the ring holds
-  // the run's most recent events when a dump is requested. Only armed when
-  // something can consume it: a --flight-out path or the admin endpoint.
-  const bool want_flight = !opt.flight_out.empty() || opt.admin_port >= 0;
-  if (want_flight) {
-    obs::FlightRecorder::global().clear();
-    obs::arm_flight_recorder(true);
+  // The global tracer's ring of the newest events backs --flight-out and
+  // /flight, so either one turns tracing on, before any protocol traffic;
+  // only --trace-out attaches a sink.
+  if (!opt.flight_out.empty() || opt.admin_port >= 0) {
+    obs::Tracer::global().enable();
     if (!opt.flight_out.empty() && !obs::write_file(opt.flight_out, "")) {
       return 2;
     }
@@ -869,8 +865,7 @@ int main(int argc, char** argv) {
     // Preserve the window leading up to the breach, not just the state at
     // exit.
     if (alert.firing && !opt.flight_out.empty()) {
-      obs::write_file(opt.flight_out,
-                      obs::FlightRecorder::global().dump_jsonl());
+      obs::write_file(opt.flight_out, obs::Tracer::global().recent_jsonl());
     }
   };
   if (!make_slo(opt, world.metrics(), dump_flight, slo)) return 2;
@@ -888,10 +883,10 @@ int main(int argc, char** argv) {
     world.simulator().schedule_at(period, *tick);
   }
 
-  obs::AdminServer admin(&world.metrics(), slo.get(),
-                         want_flight ? &obs::FlightRecorder::global()
-                                     : nullptr);
+  obs::AdminServer admin(&world.metrics(), slo.get());
   if (opt.admin_port >= 0) {
+    admin.add_source("/flight", "application/x-ndjson",
+                     [] { return obs::Tracer::global().recent_jsonl(); });
     obs::AdminServer::Options admin_opt;
     admin_opt.port = opt.admin_port;
     if (!admin.start(admin_opt)) return 2;
@@ -1038,7 +1033,6 @@ int main(int argc, char** argv) {
   }
 
   if (trace_sink) {
-    obs::Tracer::global().flush();
     obs::Tracer::global().enable(false);
     obs::Tracer::global().set_sink(nullptr);
     obs::SpanTracker::global().enable(false);
@@ -1050,7 +1044,7 @@ int main(int argc, char** argv) {
   if (!opt.profile_out.empty()) {
     obs::Profiler::global().enable(false);
     if (!obs::write_file(opt.profile_out,
-                         obs::Profiler::global().folded())) {
+                         obs::Profiler::global().folded(/*sim_time=*/true))) {
       return 2;
     }
     std::printf("profile: folded stacks -> %s\n", opt.profile_out.c_str());
@@ -1065,18 +1059,15 @@ int main(int argc, char** argv) {
   }
   print_slo_summary(slo.get());
   if (!opt.flight_out.empty()) {
-    const auto& flight = obs::FlightRecorder::global();
-    if (!obs::write_file(opt.flight_out, flight.dump_jsonl())) return 2;
-    std::printf("flight: %llu record(s) (%llu total, %llu dropped) -> %s\n",
-                static_cast<unsigned long long>(
-                    std::min<std::uint64_t>(flight.appended(),
-                                            flight.capacity())),
-                static_cast<unsigned long long>(flight.appended()),
-                static_cast<unsigned long long>(flight.dropped()),
+    const obs::Tracer& tracer = obs::Tracer::global();
+    if (!obs::write_file(opt.flight_out, tracer.recent_jsonl())) return 2;
+    std::printf("flight: %llu record(s) (%llu total) -> %s\n",
+                static_cast<unsigned long long>(std::min<std::uint64_t>(
+                    tracer.recorded(), tracer.capacity())),
+                static_cast<unsigned long long>(tracer.recorded()),
                 opt.flight_out.c_str());
   }
   admin.stop();
-  obs::arm_flight_recorder(false);
   util::set_log_clock(nullptr);
   return g_stop_signal != 0 ? 130 : 0;
 }

@@ -315,7 +315,6 @@ int run_scale_sweep(const Options& opt) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    tracer.flush();
     world.publish_metrics(registry);
     const std::uint64_t checksum = world.checksum();
     std::string metrics = obs::to_prometheus(registry);
@@ -415,7 +414,6 @@ int main(int argc, char** argv) {
                             .count();
 
   if (trace_sink) {
-    obs::Tracer::global().flush();
     obs::Tracer::global().enable(false);
     obs::Tracer::global().set_sink(nullptr);
     obs::SpanTracker::global().enable(false);
