@@ -93,6 +93,7 @@ int main(int argc, char** argv) {
     std::printf("admin endpoint: http://127.0.0.1:%d "
                 "(/metrics /healthz /flight)\n",
                 admin.port());
+    std::fflush(stdout);  // a log reader learns an ephemeral port mid-run
   }
   runner.add_node(kServer, [&](net::NodeId f, util::BytesView d,
                                util::SimTime t) {

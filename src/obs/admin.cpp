@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #endif
 
@@ -18,6 +19,12 @@ namespace cadet::obs {
 #ifndef _WIN32
 
 namespace {
+
+// Longest a connection may stall one recv or send. The one acceptor thread
+// serves connections in turn, so a peer that connects and sends nothing
+// (a port scanner, a half-open probe) would otherwise hold every later
+// scrape, and stop()'s join, for as long as it stays connected.
+constexpr timeval kConnectionTimeout{1, 0};
 
 // MSG_NOSIGNAL: a scraper that resets the connection mid-response must
 // cost this request an EPIPE, not the whole process a SIGPIPE.
@@ -108,6 +115,10 @@ void AdminServer::serve_loop() {
       if (!running_.load(std::memory_order_acquire)) break;
       continue;
     }
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &kConnectionTimeout,
+                 sizeof(kConnectionTimeout));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &kConnectionTimeout,
+                 sizeof(kConnectionTimeout));
     handle_connection(client);
     ::close(client);
   }

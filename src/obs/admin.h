@@ -7,7 +7,10 @@
 //
 // One acceptor thread, one request per connection, Connection: close —
 // deliberately the dumbest server that a curl/Prometheus scraper is happy
-// with. It binds 127.0.0.1 by default and speaks plaintext with no
+// with. Each accepted connection gets a 1 s receive and send timeout, so a
+// peer that connects and sends nothing holds the acceptor (the scrapes
+// queued behind it, and stop()) for about a second, not until it leaves.
+// It binds 127.0.0.1 by default and speaks plaintext with no
 // authentication: NEVER expose the port beyond the host (see
 // docs/OBSERVABILITY.md for the security caveats). Off unless explicitly
 // started, so deterministic sim tests never see it.

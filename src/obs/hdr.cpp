@@ -143,19 +143,11 @@ HdrHistogram::HdrHistogram(const HdrConfig& config) {
 }
 
 std::uint64_t HdrHistogram::load(std::size_t slot) const noexcept {
-#if CADET_OBS_ENABLED
   return cells_[slot].load(std::memory_order_relaxed);
-#else
-  return cells_[slot];
-#endif
 }
 
 void HdrHistogram::add(std::size_t slot, std::uint64_t n) noexcept {
-#if CADET_OBS_ENABLED
   cells_[slot].fetch_add(n, std::memory_order_relaxed);
-#else
-  cells_[slot] += n;
-#endif
 }
 
 void HdrHistogram::record(double seconds) noexcept {

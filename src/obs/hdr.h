@@ -27,8 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.h"  // for CADET_OBS_ENABLED
-
 namespace cadet::obs {
 
 struct HdrConfig {
@@ -112,11 +110,7 @@ class HdrHistogram {
   bool absorb(const HdrSnapshot& delta);
 
  private:
-#if CADET_OBS_ENABLED
   using Cell = std::atomic<std::uint64_t>;
-#else
-  using Cell = std::uint64_t;
-#endif
 
   std::uint64_t load(std::size_t slot) const noexcept;
   void add(std::size_t slot, std::uint64_t n) noexcept;

@@ -9,12 +9,11 @@
 // Registration (Registry::counter/gauge/hdr) takes a mutex and may
 // allocate; it happens once per node at construction. The returned
 // references have stable addresses for the registry's lifetime, and the
-// increment/set/record hot paths are lock-free: with CADET_OBS enabled
-// they are relaxed atomics (safe for the threaded UDP path), with
-// CADET_OBS=OFF they compile down to plain integer arithmetic — the exact
-// cost of the ad-hoc `++stats_.field` counters they replaced.
+// increment/set/record hot paths are lock-free relaxed atomics (safe for
+// the threaded UDP path and a concurrent scraper).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -25,14 +24,6 @@
 #include <vector>
 
 #include "util/thread_annotations.h"
-
-#ifndef CADET_OBS_ENABLED
-#define CADET_OBS_ENABLED 1
-#endif
-
-#if CADET_OBS_ENABLED
-#include <atomic>
-#endif
 
 namespace cadet::obs {
 
@@ -45,59 +36,31 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-#if CADET_OBS_ENABLED
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    value_ += n;
-#endif
   }
   std::uint64_t value() const noexcept {
-#if CADET_OBS_ENABLED
     return value_.load(std::memory_order_relaxed);
-#else
-    return value_;
-#endif
   }
 
  private:
-#if CADET_OBS_ENABLED
   std::atomic<std::uint64_t> value_{0};
-#else
-  std::uint64_t value_ = 0;
-#endif
 };
 
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#if CADET_OBS_ENABLED
     value_.store(v, std::memory_order_relaxed);
-#else
-    value_ = v;
-#endif
   }
   void add(std::int64_t n) noexcept {
-#if CADET_OBS_ENABLED
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    value_ += n;
-#endif
   }
   void sub(std::int64_t n) noexcept { add(-n); }
   std::int64_t value() const noexcept {
-#if CADET_OBS_ENABLED
     return value_.load(std::memory_order_relaxed);
-#else
-    return value_;
-#endif
   }
 
  private:
-#if CADET_OBS_ENABLED
   std::atomic<std::int64_t> value_{0};
-#else
-  std::int64_t value_ = 0;
-#endif
 };
 
 /// Named + labeled instruments. One Registry is typically shared by a whole

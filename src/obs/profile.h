@@ -13,8 +13,7 @@
 // The profiler holds wall-clock calls, which the cadet_lint sim-purity
 // rule bans from src/{sim,cadet,entropy}; those trees only ever see the
 // CADET_PROFILE_* macros (no chrono tokens at the call site) and this
-// header lives in src/obs, which is exempt. Everything compiles out under
-// CADET_OBS=OFF.
+// header lives in src/obs, which is exempt.
 //
 // Single-threaded by design, like the tracer: one world per thread, and
 // multi-world tools (cadet_sweep -j) leave the profiler disabled. The
@@ -26,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"  // for CADET_OBS_ENABLED
 #include "util/time.h"
 
 namespace cadet::obs {
@@ -43,13 +41,7 @@ class Profiler {
   };
 
   void enable(bool on = true) noexcept { enabled_ = on; }
-  bool enabled() const noexcept {
-#if CADET_OBS_ENABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const noexcept { return enabled_; }
 
   /// Enter a child scope of the current node (found by name or created).
   /// Returns the previous current-node index for the matching pop().
@@ -94,19 +86,14 @@ class Profiler {
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-#if CADET_OBS_ENABLED
     Profiler& profiler = Profiler::global();
     if (!profiler.enabled()) return;
     active_ = true;
     prev_ = profiler.push(name);
     start_ = std::chrono::steady_clock::now();
-#else
-    (void)name;
-#endif
   }
 
   ~ProfileScope() {
-#if CADET_OBS_ENABLED
     if (!active_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     Profiler::global().pop(
@@ -114,32 +101,24 @@ class ProfileScope {
                    std::chrono::duration_cast<std::chrono::nanoseconds>(
                        elapsed)
                        .count()));
-#endif
   }
 
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-#if CADET_OBS_ENABLED
   bool active_ = false;
   std::uint32_t prev_ = 0;
   std::chrono::steady_clock::time_point start_{};
-#endif
 };
 
 }  // namespace cadet::obs
 
 // Call-site macros: no chrono tokens at the expansion site, so profiled
-// code in the sim-pure trees stays lint-clean; empty under CADET_OBS=OFF.
-#if CADET_OBS_ENABLED
+// code in the sim-pure trees stays lint-clean.
 #define CADET_PROFILE_CONCAT2(a, b) a##b
 #define CADET_PROFILE_CONCAT(a, b) CADET_PROFILE_CONCAT2(a, b)
 #define CADET_PROFILE_SCOPE(name)                                     \
   ::cadet::obs::ProfileScope CADET_PROFILE_CONCAT(cadet_profile_scope_, \
                                                   __LINE__)(name)
 #define CADET_PROFILE_ADD_SIM(dt) ::cadet::obs::Profiler::global().add_sim(dt)
-#else
-#define CADET_PROFILE_SCOPE(name) ((void)0)
-#define CADET_PROFILE_ADD_SIM(dt) ((void)(dt))
-#endif

@@ -21,7 +21,6 @@ inline bool fold_before(const ShardObs::Buffered& x,
 }  // namespace
 
 void ShardObs::emit(const TraceEvent& event) noexcept {
-#if CADET_OBS_ENABLED
   if (!tracing_) return;
   Buffered entry;
   entry.event = event;
@@ -36,9 +35,6 @@ void ShardObs::emit(const TraceEvent& event) noexcept {
         "seq", static_cast<double>(entry.seq)};
   }
   buffer_.push_back(entry);
-#else
-  (void)event;
-#endif
 }
 
 std::size_t ShardObs::memory_bytes() const noexcept {
@@ -83,12 +79,8 @@ HdrConfig ShardObsPlane::boundary_batch() noexcept {
 }
 
 void ShardObsPlane::enable_tracing(bool on) noexcept {
-#if CADET_OBS_ENABLED
   tracing_ = on;
   for (ShardObs& stream : streams_) stream.tracing_ = on;
-#else
-  (void)on;  // trace buffering is compiled out; the gate stays closed
-#endif
 }
 
 void ShardObsPlane::set_enabled(bool on) noexcept {
@@ -98,7 +90,6 @@ void ShardObsPlane::set_enabled(bool on) noexcept {
 
 std::size_t ShardObsPlane::fold_window(Tracer* tracer,
                                        util::SimTime watermark) {
-#if CADET_OBS_ENABLED
   if (!tracing_) return 0;
   scratch_.clear();
   for (ShardObs& stream : streams_) {
@@ -121,11 +112,6 @@ std::size_t ShardObsPlane::fold_window(Tracer* tracer,
   }
   folded_ += scratch_.size();
   return scratch_.size();
-#else
-  (void)tracer;
-  (void)watermark;
-  return 0;
-#endif
 }
 
 std::size_t ShardObsPlane::fold_all(Tracer* tracer) {

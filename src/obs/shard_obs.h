@@ -45,7 +45,7 @@ class ShardObs {
 
   /// Buffer one trace event, stamping `shard` and `seq` attributes (the
   /// merge keys cadet_report validates). No-op while the plane's tracing
-  /// gate is off; compiled out entirely under CADET_OBS=OFF.
+  /// gate is off.
   void emit(const TraceEvent& event) noexcept;
 
   /// Record one latency observation into the stream's histogram. No-op
@@ -107,8 +107,6 @@ class ShardObsPlane {
   }
 
   /// Tracing gate: while off, emit() is a flag test and the fold is free.
-  /// Compiles to a no-op under CADET_OBS=OFF so call sites guarded by
-  /// tracing() drop out entirely.
   void enable_tracing(bool on) noexcept;
   bool tracing() const noexcept { return tracing_; }
 

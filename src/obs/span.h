@@ -31,15 +31,12 @@
 // single-threaded per world, so same seed => byte-identical span trace.
 // Multi-world runs (cadet_sweep -j) keep spans disabled. reset() re-zeroes
 // the counters so a same-seed rerun reproduces identical ids.
-//
-// Everything here compiles out under CADET_OBS=OFF.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <unordered_map>
 
-#include "obs/metrics.h"  // for CADET_OBS_ENABLED
 #include "obs/trace.h"
 #include "util/time.h"
 
@@ -55,13 +52,7 @@ struct SpanContext {
 class SpanTracker {
  public:
   void enable(bool on = true) noexcept { enabled_ = on; }
-  bool enabled() const noexcept {
-#if CADET_OBS_ENABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const noexcept { return enabled_; }
 
   /// Allocate a fresh trace with its root span.
   SpanContext start_trace() {
@@ -115,25 +106,16 @@ inline void span_begin(util::SimTime ts, const char* name, const char* tier,
                        std::uint64_t node, SpanContext ctx,
                        std::uint64_t parent = 0,
                        std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
-#if CADET_OBS_ENABLED
   detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, parent, 'B',
                     attrs);
-#else
-  (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)parent;
-  (void)attrs;
-#endif
 }
 
 /// Close span ctx.span.
 inline void span_end(util::SimTime ts, const char* name, const char* tier,
                      std::uint64_t node, SpanContext ctx,
                      std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
-#if CADET_OBS_ENABLED
   detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, 0, 'E',
                     attrs);
-#else
-  (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)attrs;
-#endif
 }
 
 /// Zero-length span: opened and closed at `ts` in one record (phase 'X').
@@ -144,25 +126,16 @@ inline void span_complete(util::SimTime ts, const char* name,
                           const char* tier, std::uint64_t node,
                           SpanContext ctx, std::uint64_t parent,
                           std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
-#if CADET_OBS_ENABLED
   detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, parent, 'X',
                     attrs);
-#else
-  (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)parent;
-  (void)attrs;
-#endif
 }
 
 /// Instant event tagged with the trace/span it occurred under (no phase).
 inline void span_event(util::SimTime ts, const char* name, const char* tier,
                        std::uint64_t node, SpanContext ctx,
                        std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
-#if CADET_OBS_ENABLED
   detail::emit_span(ts, name, tier, node, ctx.trace, ctx.span, 0, 0,
                     attrs);
-#else
-  (void)ts; (void)name; (void)tier; (void)node; (void)ctx; (void)attrs;
-#endif
 }
 
 }  // namespace cadet::obs

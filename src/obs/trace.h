@@ -4,7 +4,7 @@
 // (a JSONL file for --trace-out) as they are recorded.
 //
 // Hot-path contract: record() is a no-op unless the tracer is enabled, and
-// with CADET_OBS=OFF the emit helpers compile away entirely. Events are
+// the emit helpers cost one flag test while it is off. Events are
 // small PODs — names and attribute keys must be string literals (static
 // storage), so an event never owns heap memory.
 //
@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"  // for CADET_OBS_ENABLED
 #include "util/thread_annotations.h"
 #include "util/time.h"
 
@@ -143,7 +142,6 @@ class Tracer {
   std::uint64_t recorded_ CADET_GUARDED_BY(mu_) = 0;
 };
 
-#if CADET_OBS_ENABLED
 namespace detail {
 /// The one emit body behind obs::emit and the span helpers (obs/span.h):
 /// a single flag test while tracing is off, else one record into the
@@ -173,18 +171,13 @@ inline void emit_span(util::SimTime ts, const char* name, const char* tier,
   tracer.record(event);
 }
 }  // namespace detail
-#endif
 
-/// Emit helper used by the engines: compiled out with CADET_OBS=OFF, and a
-/// single predictable branch when tracing is off at runtime.
+/// Emit helper used by the engines: a single predictable branch when
+/// tracing is off at runtime.
 inline void emit(util::SimTime ts, const char* name, const char* tier,
                  std::uint64_t node,
                  std::initializer_list<TraceEvent::Attr> attrs = {}) noexcept {
-#if CADET_OBS_ENABLED
   detail::emit_span(ts, name, tier, node, 0, 0, 0, 0, attrs);
-#else
-  (void)ts; (void)name; (void)tier; (void)node; (void)attrs;
-#endif
 }
 
 // ---- trace reading (cadet_report, tests) ----

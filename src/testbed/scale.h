@@ -198,9 +198,8 @@ class ScaleWorld {
   /// attached to the tracer sees a byte-identical stream at any -j.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   /// Master gates on the per-shard observability plane: enable_tracing
-  /// buffers protocol trace events (compiled out under CADET_OBS=OFF),
-  /// enable_obs gates the always-on instruments (latency + boundary
-  /// histograms).
+  /// buffers protocol trace events, enable_obs gates the always-on
+  /// instruments (latency + boundary histograms).
   void enable_tracing(bool on) noexcept { plane_.enable_tracing(on); }
   void enable_obs(bool on) noexcept { plane_.set_enabled(on); }
   obs::ShardObsPlane& obs_plane() noexcept { return plane_; }

@@ -1,16 +1,18 @@
 // AdminServer: ephemeral bind, the endpoints (status codes + body shape),
-// 404/405 handling, null-wiring behavior, scrapers that hang up, and clean
-// stop().
+// 404/405 handling, null-wiring behavior, scrapers that hang up or go
+// idle, and clean stop().
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -22,8 +24,6 @@
 namespace cadet::obs {
 namespace {
 
-// Blocking one-shot HTTP exchange against 127.0.0.1:port. Returns the full
-// response (headers + body); empty string on connect failure.
 // Connected loopback socket with `request` sent, or -1.
 int send_request(int port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -46,9 +46,17 @@ int send_request(int port, const std::string& request) {
   return fd;
 }
 
-std::string http_request(int port, const std::string& request) {
+// Blocking one-shot HTTP exchange against 127.0.0.1:port. Returns the full
+// response (headers + body); empty string on connect failure. Each recv
+// gives up after `timeout_s` when it is set.
+std::string http_request(int port, const std::string& request,
+                         int timeout_s = 0) {
   const int fd = send_request(port, request);
   if (fd < 0) return "";
+  if (timeout_s > 0) {
+    const timeval timeout{timeout_s, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  }
   std::string response;
   char buf[4096];
   while (true) {
@@ -215,6 +223,39 @@ TEST(AdminServer, ScraperResetDoesNotKillTheProcess) {
   EXPECT_NE(http_get(f.server.port(), "/metrics").find("200 OK"),
             std::string::npos);
   f.server.stop();
+}
+
+// A peer that connects and sends nothing (a port scanner, a half-open
+// load-balancer probe) must not hold the one acceptor thread: a scrape
+// behind it is answered, and stop() returns, each within 2 s. The client
+// timeout and the async stop() turn a server that waits on the idle peer
+// forever into a failure instead of a hung test.
+TEST(AdminServer, IdlePeerDoesNotStallScrapes) {
+  AdminFixture f;
+  f.registry.counter("cadet_demo_hits").inc(3);
+  ASSERT_TRUE(f.start());
+  const int idle = send_request(f.server.port(), "");
+  ASSERT_GE(idle, 0);
+
+  const auto scrape_start = std::chrono::steady_clock::now();
+  const std::string response = http_request(
+      f.server.port(), "GET /metrics HTTP/1.0\r\n\r\n", /*timeout_s=*/2);
+  const auto scrape_time = std::chrono::steady_clock::now() - scrape_start;
+  EXPECT_NE(response.find("200 OK"), std::string::npos);
+  EXPECT_NE(response.find("cadet_demo_hits_total 3"), std::string::npos);
+  EXPECT_LT(scrape_time, std::chrono::seconds(2));
+
+  // A second idle peer, taken by the acceptor before stop() is called.
+  const int idle_at_stop = send_request(f.server.port(), "");
+  ASSERT_GE(idle_at_stop, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto stopped = std::async(std::launch::async, [&f] { f.server.stop(); });
+  const bool stopped_in_time =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  ::close(idle);
+  ::close(idle_at_stop);  // lets a stuck acceptor thread join
+  stopped.wait();
+  EXPECT_TRUE(stopped_in_time);
 }
 
 TEST(AdminServer, StopIsIdempotentAndRestartable) {

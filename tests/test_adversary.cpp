@@ -250,7 +250,6 @@ TEST(Adversary, PoisonerBlacklistedWithinBoundedUploads) {
   EXPECT_EQ(edge.economics().penalty(client.id()), score);
 }
 
-#if CADET_OBS_ENABLED
 TEST(Adversary, SameSeedReplaysByteIdentical) {
   // Determinism: one seed, two runs, byte-identical JSONL traces — the
   // property that makes every failing adversary scenario reproducible
@@ -280,7 +279,6 @@ TEST(Adversary, SameSeedReplaysByteIdentical) {
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 }
-#endif  // CADET_OBS_ENABLED
 
 // ---- AdversaryPlan / driver unit coverage ---------------------------------
 

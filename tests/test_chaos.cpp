@@ -127,7 +127,6 @@ TEST(Chaos, PartitionHealsAndServiceRecovers) {
   EXPECT_GT(r.fulfilled, r.fallback + r.expired);
 }
 
-#if CADET_OBS_ENABLED
 TEST(Chaos, SameSeedReplaysByteIdentical) {
   // Determinism regression (and tentpole invariant 4): one seed, two runs,
   // byte-identical JSONL trace output. Any hidden nondeterminism — wall
@@ -158,7 +157,6 @@ TEST(Chaos, SameSeedReplaysByteIdentical) {
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 }
-#endif  // CADET_OBS_ENABLED
 
 // ---- FaultyTransport unit coverage ----------------------------------------
 

@@ -52,19 +52,15 @@ std::string run_trace(std::uint64_t seed) {
 TEST(Determinism, SameSeedProducesByteIdenticalTrace) {
   const std::string first = run_trace(20180301);
   const std::string second = run_trace(20180301);
-#if CADET_OBS_ENABLED
   // The run must actually have traced protocol activity, or this test
   // would pass vacuously.
   EXPECT_FALSE(first.empty());
-#endif
   EXPECT_EQ(first, second);
 }
 
-#if CADET_OBS_ENABLED
 TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(run_trace(20180301), run_trace(20180302));
 }
-#endif
 
 }  // namespace
 }  // namespace cadet::testbed

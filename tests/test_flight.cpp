@@ -75,7 +75,6 @@ TEST(FlightRecorder, DumpJsonlParsesBack) {
   EXPECT_FALSE(std::getline(lines, line));
 }
 
-#if CADET_OBS_ENABLED  // emit() compiles to nothing with CADET_OBS=OFF
 TEST(FlightRecorder, EmitFeedsGlobalWhenArmed) {
   Tracer& g = Tracer::global();
   g.clear();
@@ -93,7 +92,6 @@ TEST(FlightRecorder, EmitFeedsGlobalWhenArmed) {
   EXPECT_EQ(events[0].node, 2u);
   g.clear();
 }
-#endif  // CADET_OBS_ENABLED
 
 // Writers racing a dumping reader: every dump is oldest first (each
 // writer's events in its own order), the sink sees every event, and the

@@ -147,7 +147,6 @@ TEST(HdrHistogram, RegistryExportsBuckets) {
 // One recording thread + a scraping reader (the UdpRunner poll loop vs
 // an admin /metrics scrape): no lost observations, snapshots monotone in
 // count.
-#if CADET_OBS_ENABLED
 TEST(HdrHistogram, HdrContentionWriterAndScraper) {
   constexpr int kRecords = 80000;
   HdrHistogram h;
@@ -178,7 +177,6 @@ TEST(HdrHistogram, HdrContentionWriterAndScraper) {
   for (const std::uint64_t c : snap.counts) cells_total += c;
   EXPECT_EQ(cells_total, snap.count);
 }
-#endif  // CADET_OBS_ENABLED
 
 }  // namespace
 }  // namespace cadet::obs

@@ -54,10 +54,6 @@ TEST(Registry, InstrumentAddressesStableAcrossGrowth) {
   EXPECT_EQ(&reg.counter("cadet_test_first"), &first);
 }
 
-// The cross-thread exactness guarantees only hold in instrumented builds;
-// with CADET_OBS=OFF the instruments are plain integers and concurrent
-// use is out of contract.
-#if CADET_OBS_ENABLED
 TEST(Registry, TwoThreadsIncrementingYieldExactTotals) {
   Registry reg;
   Counter& counter = reg.counter("cadet_test_concurrent");
@@ -103,7 +99,6 @@ TEST(Counter, ContentionWriterAndScraper) {
   scraper.join();
   EXPECT_EQ(counter.value(), kIncrements);
 }
-#endif  // CADET_OBS_ENABLED
 
 TEST(Labels, TierLabelsSortedForDeterministicExport) {
   const Labels labels = tier_labels("edge", 100);

@@ -363,7 +363,6 @@ TEST(ObsSchema, WorldAndScaleWorldExportTheJoinAndSloFamilies) {
   }
 }
 
-#if CADET_OBS_ENABLED
 TEST(ObsSchema, TraceEventsAreInTheGolden) {
   std::string dump;
   for (const Exports* path : {&paths().world, &paths().scale, &paths().udp}) {
@@ -388,7 +387,6 @@ TEST(ObsSchema, WorldAndScaleWorldTraceTheJoinEvents) {
         << event.first;
   }
 }
-#endif  // CADET_OBS_ENABLED
 
 }  // namespace
 }  // namespace cadet

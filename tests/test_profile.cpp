@@ -35,7 +35,6 @@ TEST(Profiler, DisabledScopesLeaveTheTreeEmpty) {
   EXPECT_TRUE(profiler.folded().empty());
 }
 
-#if CADET_OBS_ENABLED
 TEST(Profiler, NestedScopesBuildOneTreePath) {
   ProfilerGuard guard;
   Profiler& profiler = Profiler::global();
@@ -106,7 +105,6 @@ TEST(Profiler, ResetDropsTheTree) {
   EXPECT_EQ(Profiler::global().nodes().size(), 1u);
   EXPECT_TRUE(Profiler::global().folded().empty());
 }
-#endif  // CADET_OBS_ENABLED
 
 }  // namespace
 }  // namespace cadet::obs

@@ -439,7 +439,6 @@ TEST(ScaleWorld, RetryChainMatchesTheEngines) {
   ASSERT_GT(stats.requests_sent, 10u);
   EXPECT_EQ(stats.fallback, stats.requests_sent);
   EXPECT_EQ(stats.retried, kMaxRequestRetries * stats.requests_sent);
-#if CADET_OBS_ENABLED  // the timings come from the trace
   // Each chain's client events in order: the request, its retransmissions
   // and the fallback.
   std::map<std::uint64_t, std::vector<util::SimTime>> chains;
@@ -463,7 +462,6 @@ TEST(ScaleWorld, RetryChainMatchesTheEngines) {
       EXPECT_LT(wait, nominal / 10 * 11) << trace << " wait " << k;
     }
   }
-#endif  // CADET_OBS_ENABLED
 }
 
 TEST(ScaleWorld, CrashWindowsLoseNoAccountedEvents) {

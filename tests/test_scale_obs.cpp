@@ -120,9 +120,7 @@ TEST(ScaleObs, PlaneDoesNotPerturbTheSimulation) {
 
 TEST(ScaleObs, FoldedStreamIsMergeOrdered) {
   const Exports run = traced_run(obs_config(), 4);
-#if CADET_OBS_ENABLED
   ASSERT_FALSE(run.events.empty());
-#endif
   double prev_ts = -1.0;
   double prev_seq = -1.0;
   double prev_shard = -1.0;
@@ -170,7 +168,6 @@ TEST(ScaleObs, WindowFoldRespectsWatermark) {
   EXPECT_EQ(world.lookahead_violations(), 0u);
 }
 
-#if CADET_OBS_ENABLED
 TEST(ScaleObs, RefillSpansStitchAcrossTheBoundary) {
   const Exports run = traced_run(obs_config(), 2);
   // Every refill trace must be a complete edge -> server -> edge story:
@@ -200,7 +197,6 @@ TEST(ScaleObs, RefillSpansStitchAcrossTheBoundary) {
   // Reissued refills may carry several grants; every grant's trace opened.
   EXPECT_TRUE(open.empty()) << open.size() << " refill span(s) never closed";
 }
-#endif
 
 TEST(ScaleObs, FulfillmentHistogramMatchesTheLedger) {
   const Exports run = traced_run(obs_config(), 1);
@@ -217,8 +213,6 @@ TEST(ScaleObs, FulfillmentHistogramMatchesTheLedger) {
       violations = sample.value;
     }
   }
-  // Always-on instruments stay live under CADET_OBS=OFF (only trace
-  // buffering compiles out), so these hold in both build flavours.
   EXPECT_EQ(hdr_count, static_cast<double>(run.fulfilled));
   EXPECT_EQ(fulfilled, static_cast<double>(run.fulfilled));
   EXPECT_EQ(violations, 0.0);  // published even when zero: the alert floor

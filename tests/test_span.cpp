@@ -31,7 +31,6 @@ TEST(SpanTracker, DisabledAllocatorHandsOutInvalidContexts) {
   EXPECT_FALSE(tracker.lookup_seq(7, 1).valid());
 }
 
-#if CADET_OBS_ENABLED
 TEST(SpanTracker, SequentialIdsAndSeqBinding) {
   SpanTracker tracker;
   tracker.enable();
@@ -205,7 +204,6 @@ TEST(SpanAcceptance, SameSeedSpanTraceIsByteIdentical) {
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 }
-#endif  // CADET_OBS_ENABLED
 
 }  // namespace
 }  // namespace cadet::obs

@@ -132,8 +132,6 @@ TEST(FileSink, WritesOneValidJsonObjectPerLine) {
   std::remove(path.c_str());
 }
 
-// obs::emit compiles to nothing with CADET_OBS=OFF.
-#if CADET_OBS_ENABLED
 TEST(Emit, GlobalTracerCapturesEngineEvents) {
   Tracer& tracer = Tracer::global();
   MemorySink sink;
@@ -152,7 +150,6 @@ TEST(Emit, GlobalTracerCapturesEngineEvents) {
   EXPECT_EQ(std::string(sink.events()[0].name), "penalty_drop");
   EXPECT_EQ(sink.events()[0].node, 100u);
 }
-#endif  // CADET_OBS_ENABLED
 
 }  // namespace
 }  // namespace cadet::obs

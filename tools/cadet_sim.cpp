@@ -540,6 +540,7 @@ int run_scale(const Options& opt) {
     if (!admin.start(admin_opt)) return 2;
     std::printf("admin: http://127.0.0.1:%d (/metrics /healthz /shards)\n",
                 admin.port());
+    std::fflush(stdout);  // a log reader learns an ephemeral port mid-run
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -892,6 +893,7 @@ int main(int argc, char** argv) {
     if (!admin.start(admin_opt)) return 2;
     std::printf("admin: http://127.0.0.1:%d (/metrics /healthz /flight)\n\n",
                 admin.port());
+    std::fflush(stdout);  // a log reader learns an ephemeral port mid-run
   }
 
   if (opt.self_sigint_s > 0.0) {
