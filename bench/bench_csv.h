@@ -2,9 +2,8 @@
 // figure bench and it writes the plotted series alongside the printed
 // table, so the paper's figures can be regenerated with any plotting tool.
 //
-// The writer itself lives in obs/csv.h (shared with the metrics
-// exporters); this header only keeps the bench-facing names and the
-// --csv flag helper.
+// The writer itself lives in obs/csv.h; this header only keeps the
+// bench-facing names and the --csv flag helper.
 #pragma once
 
 #include <optional>

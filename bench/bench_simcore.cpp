@@ -1,7 +1,7 @@
-// cadet_bench — simulator-core and crypto hot-path benchmark.
+// cadet_bench — the component-kernel benchmark.
 //
-// Measures the paths PR 4 optimised and emits a machine-readable JSON
-// report (BENCH_4.json in CI):
+// Times the kernels the simulator runs, or charges a cycle cost for
+// (src/cadet/config.h), and emits a flat JSON report (BENCH_N.json):
 //
 //   * event loop     events/sec + ns/event for the 4-ary-heap/InlineFn
 //                    simulator AND for an in-binary replica of the old
@@ -11,9 +11,23 @@
 //   * ChaCha20       MB/s for the word-oriented multi-block keystream vs.
 //                    the old per-byte formulation (kept here as a reference
 //                    implementation and cross-checked byte-for-byte);
-//   * SHA-256        MB/s over bulk input;
+//   * SHA-256        MB/s over bulk input (prices kTokenHash);
 //   * transport      packets/sec through SimTransport with pooled buffers;
-//   * end-to-end     wall time for the paper's 49-node testbed.
+//   * 49-node world  wall time and events/sec of the paper's testbed;
+//   * HDR            histogram records/sec and p99 accuracy;
+//   * protocol ops   calls/sec of packet encode + decode, the NIST sanity
+//                    battery on 32 B and 1 KiB, the Yarrow fold of 1 KiB,
+//                    one X25519 shared secret, seal + open of 64 B and
+//                    4 KiB, and the NIST quality battery on 50,000 bits,
+//                    each pricing one cost constant;
+//   * overheads      span tracing, the trace ring and the sharded obs
+//                    plane, each the median of interleaved off/on pairs;
+//   * scale          the sharded ScaleWorld: events/sec and bytes/client.
+//
+// Every kernel goes through one timer (time_reps): interleaved reps, the
+// median over them, and the spread. Each timed key holds a median and
+// has a `<key>_spread` = (q3 - q1) / median beside it; `reps` records the
+// rep count.
 //
 // Usage:
 //   cadet_bench [--quick] [--out FILE] [--check BASELINES]
@@ -41,9 +55,16 @@
 #include <unistd.h>
 #endif
 
+#include "cadet/packet.h"
+#include "cadet/registration.h"
+#include "cadet/seal.h"
 #include "crypto/chacha20.h"
+#include "crypto/csprng.h"
 #include "crypto/sha256.h"
+#include "crypto/x25519.h"
+#include "entropy/yarrow.h"
 #include "net/sim_transport.h"
+#include "nist/battery.h"
 #include "obs/hdr.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -243,6 +264,74 @@ class RefChaCha20 {
 };
 
 // ---------------------------------------------------------------------------
+// The kernel timer
+// ---------------------------------------------------------------------------
+
+/// Reps per timed kernel. Counts of the form 4k + 1 put the median and
+/// both quartiles on samples.
+constexpr int kQuickReps = 5;
+constexpr int kFullReps = 9;
+
+/// Timed wall seconds and work (events, calls or megabytes) of one run.
+struct Tally {
+  double seconds = 0.0;
+  double work = 0.0;
+  double rate() const { return work / seconds; }
+};
+
+/// Linear-interpolated quantile q in [0, 1] of `values`.
+double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double at = q * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (at - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+/// Every timed side of every kernel runs through here. Each rep runs each
+/// side in turn, repeating the side's run until its timed seconds reach
+/// `min_s`, and reads the rep as the side's work over those seconds. The
+/// two sides of a pair interleave rep by rep, in ABBA order, so the host's
+/// speed phases and noisy neighbours skew both alike. Returns each side's
+/// per-rep rates.
+std::vector<std::vector<double>> time_reps(
+    int reps, double min_s, const std::vector<std::function<Tally()>>& sides) {
+  std::vector<std::vector<double>> rates(sides.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      const std::size_t side = rep % 2 == 0 ? i : sides.size() - 1 - i;
+      Tally total;
+      do {
+        const Tally run = sides[side]();
+        total.seconds += run.seconds;
+        total.work += run.work;
+      } while (total.seconds < min_s);
+      rates[side].push_back(total.rate());
+    }
+  }
+  return rates;
+}
+
+/// Kernel results fold into this byte, so the optimiser cannot drop the
+/// calls that make them.
+volatile std::uint8_t g_sink = 0;
+
+/// A side for time_reps: one timed batch of `batch` back-to-back calls of
+/// `call`, each doing `work` units and returning one byte of its result.
+template <typename Call>
+std::function<Tally()> calls(int batch, double work, Call call) {
+  return [batch, work, call]() mutable {
+    std::uint8_t fold = 0;
+    const double t0 = now_s();
+    for (int i = 0; i < batch; ++i) fold ^= call();
+    const double seconds = now_s() - t0;
+    g_sink = g_sink ^ fold;
+    return Tally{seconds, batch * work};
+  };
+}
+
+// ---------------------------------------------------------------------------
 // Event-loop benchmark: K self-rescheduling timers with pseudorandom
 // delays. The capture is 40 bytes — inside InlineFn's 48-byte inline
 // buffer, beyond std::function's small-object optimisation, which is
@@ -272,15 +361,11 @@ struct Ticker {
   }
 };
 
-struct LoopResult {
-  std::uint64_t executed = 0;
-  std::uint64_t checksum = 0;
-  double seconds = 0.0;
-};
-
+/// Fires `limit` events and times them. With `checksum` set, folds every
+/// event's simulated time into it.
 template <typename Sim>
-LoopResult run_event_loop(std::uint64_t limit, std::size_t tickers,
-                          bool checksummed) {
+Tally run_event_loop(std::uint64_t limit, std::size_t tickers,
+                     std::uint64_t* checksum) {
   Sim sim;
   // Both loops run as every World runs them: metrics bound. The legacy
   // replica pays the per-push/pop gauge publishing the old loop paid.
@@ -290,22 +375,15 @@ LoopResult run_event_loop(std::uint64_t limit, std::size_t tickers,
   // legacy loop had no reserve API — that is part of what changed).
   if constexpr (requires { sim.reserve(tickers); }) sim.reserve(tickers + 1);
   util::Xoshiro256 rng(0xbe7cULL);
-  LoopResult r;
-  r.checksum = 0xcbf29ce484222325ULL;
-  std::uint64_t* checksum = checksummed ? &r.checksum : nullptr;
+  std::uint64_t executed = 0;
   const double t0 = now_s();
   for (std::size_t i = 0; i < tickers; ++i) {
     sim.schedule(static_cast<util::SimTime>(1 + (rng() & 0xfffff)),
-                 Ticker<Sim>{&sim, &rng, &r.executed, checksum, limit});
+                 Ticker<Sim>{&sim, &rng, &executed, checksum, limit});
   }
   while (sim.step()) {
   }
-  r.seconds = now_s() - t0;
-  return r;
-}
-
-void keep_best(LoopResult& best, const LoopResult& r) {
-  if (best.seconds == 0.0 || r.seconds < best.seconds) best = r;
+  return Tally{now_s() - t0, static_cast<double>(executed)};
 }
 
 // ---------------------------------------------------------------------------
@@ -321,23 +399,6 @@ constexpr int kOverheadPairs = 7;
 constexpr double kQuickTestbedSideSeconds = 0.3;
 constexpr double kFullTestbedSideSeconds = 1.0;
 constexpr double kScaleSideSeconds = 2.0;
-
-/// Linear-interpolated quantile q in [0, 1] of `values`.
-double quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double at = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(at);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] +
-         (at - static_cast<double>(lo)) * (values[hi] - values[lo]);
-}
-
-/// Timed wall seconds and simulated events of one world.
-struct Tally {
-  double seconds = 0.0;
-  double events = 0.0;
-  double rate() const { return events / seconds; }
-};
 
 struct Overhead {
   double side_s = 0.0;  // least timed wall seconds per side of a pair
@@ -413,10 +474,8 @@ Tally run_testbed_world(double duration_s) {
   }
   const double t0 = now_s();
   world.simulator().run_until(t_end);
-  Tally tally;
-  tally.seconds = now_s() - t0;
-  tally.events = static_cast<double>(world.simulator().events_executed());
-  return tally;
+  return Tally{now_s() - t0,
+               static_cast<double>(world.simulator().events_executed())};
 }
 
 // ---------------------------------------------------------------------------
@@ -437,6 +496,36 @@ double get(const std::vector<Metric>& metrics, const std::string& name) {
     if (m.name == name) return m.value;
   }
   return 0.0;
+}
+
+/// Puts `key` = the median of the per-rep `samples` and `key_spread` =
+/// (q3 - q1) / median, the spread cadet_e2e reports, and prints the
+/// median with its IQR.
+void report(std::vector<Metric>& metrics, const std::string& key,
+            const std::vector<double>& samples) {
+  const double q1 = quantile(samples, 0.25);
+  const double median = quantile(samples, 0.5);
+  const double q3 = quantile(samples, 0.75);
+  put(metrics, key, median);
+  put(metrics, key + "_spread", (q3 - q1) / median);
+  const int digits = median >= 1000.0 ? 0 : median >= 10.0 ? 1 : 4;
+  std::printf("  %-34s %14.*f  IQR %.*f..%.*f\n", key.c_str(), digits, median,
+              digits, q1, digits, q3);
+}
+
+/// `samples` with `f` applied to each.
+template <typename F>
+std::vector<double> each(std::vector<double> samples, F f) {
+  for (double& s : samples) s = f(s);
+  return samples;
+}
+
+/// The per-rep ratios a[r] / b[r] of a paired kernel.
+std::vector<double> ratios(const std::vector<double>& a,
+                           const std::vector<double>& b) {
+  std::vector<double> out;
+  for (std::size_t r = 0; r < a.size(); ++r) out.push_back(a[r] / b[r]);
+  return out;
 }
 
 std::string to_json(const std::vector<Metric>& metrics, bool quick) {
@@ -518,7 +607,12 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Metric> metrics;
-  const int reps = quick ? 2 : 3;
+  const int reps = quick ? kQuickReps : kFullReps;
+  // Least timed seconds each side of a kernel runs in one rep.
+  const double rep_s = quick ? 0.05 : 0.25;
+  put(metrics, "reps", reps);
+  std::printf("kernels: median and IQR of %d reps, each >= %.2f s\n", reps,
+              rep_s);
 
   // ---- event loop ----
   {
@@ -529,40 +623,33 @@ int main(int argc, char** argv) {
     // Cheap determinism cross-check first: both loops must fire the same
     // events at the same simulated times in the same order.
     {
-      const LoopResult a =
-          run_event_loop<sim::Simulator>(50000, tickers, true);
-      const LoopResult b =
-          run_event_loop<LegacySimulator>(50000, tickers, true);
-      if (a.checksum != b.checksum || a.executed != b.executed) {
+      std::uint64_t a = 0xcbf29ce484222325ULL;
+      std::uint64_t b = a;
+      const Tally ta = run_event_loop<sim::Simulator>(50000, tickers, &a);
+      const Tally tb = run_event_loop<LegacySimulator>(50000, tickers, &b);
+      if (a != b || ta.work != tb.work) {
         std::fprintf(stderr,
                      "FATAL: event order diverged from the legacy loop "
                      "(checksum %llx vs %llx)\n",
-                     static_cast<unsigned long long>(a.checksum),
-                     static_cast<unsigned long long>(b.checksum));
+                     static_cast<unsigned long long>(a),
+                     static_cast<unsigned long long>(b));
         return 3;
       }
     }
-    // Interleave the two loops rep-by-rep so frequency scaling and noisy
-    // neighbours skew both sides alike, and keep each side's best rep.
-    LoopResult current;
-    LoopResult legacy;
-    for (int rep = 0; rep < 2 * reps; ++rep) {
-      keep_best(current, run_event_loop<sim::Simulator>(limit, tickers,
-                                                        /*checksummed=*/false));
-      keep_best(legacy, run_event_loop<LegacySimulator>(limit, tickers,
-                                                        /*checksummed=*/false));
-    }
-    const double eps = static_cast<double>(current.executed) / current.seconds;
-    const double legacy_eps =
-        static_cast<double>(legacy.executed) / legacy.seconds;
-    put(metrics, "events_per_sec", eps);
-    put(metrics, "ns_per_event", 1e9 / eps);
-    put(metrics, "legacy_events_per_sec", legacy_eps);
-    put(metrics, "legacy_ns_per_event", 1e9 / legacy_eps);
-    put(metrics, "event_loop_speedup", eps / legacy_eps);
-    std::printf("event loop : %11.0f events/s (%6.1f ns/event), "
-                "legacy %11.0f events/s -> %.2fx\n",
-                eps, 1e9 / eps, legacy_eps, eps / legacy_eps);
+    const auto rates = time_reps(
+        reps, rep_s,
+        {[&] {
+           return run_event_loop<sim::Simulator>(limit, tickers, nullptr);
+         },
+         [&] {
+           return run_event_loop<LegacySimulator>(limit, tickers, nullptr);
+         }});
+    const auto ns = [](double rate) { return 1e9 / rate; };
+    report(metrics, "events_per_sec", rates[0]);
+    report(metrics, "ns_per_event", each(rates[0], ns));
+    report(metrics, "legacy_events_per_sec", rates[1]);
+    report(metrics, "legacy_ns_per_event", each(rates[1], ns));
+    report(metrics, "event_loop_speedup", ratios(rates[0], rates[1]));
   }
 
   // ---- ChaCha20 ----
@@ -590,69 +677,41 @@ int main(int argc, char** argv) {
         }
       }
     }
-    const double min_s = quick ? 0.08 : 0.4;
     util::Bytes buf(16384, 0x5a);
-    auto throughput = [&](auto&& crypt_chunk) {
-      double best = 0.0;
-      for (int rep = 0; rep < reps; ++rep) {
-        std::uint64_t bytes = 0;
-        const double t0 = now_s();
-        double elapsed = 0.0;
-        do {
-          for (int chunk = 0; chunk < 16; ++chunk) {
-            crypt_chunk(buf);
-            bytes += buf.size();
-          }
-          elapsed = now_s() - t0;
-        } while (elapsed < min_s);
-        best = std::max(best, static_cast<double>(bytes) / 1e6 / elapsed);
-      }
-      return best;
-    };
+    const double mb = static_cast<double>(buf.size()) / 1e6;
     crypto::ChaCha20 fast(key, nonce);
-    const double fast_mbs =
-        throughput([&](util::Bytes& data) { fast.crypt(data); });
     RefChaCha20 ref(key, nonce);
-    const double ref_mbs = throughput(
-        [&](util::Bytes& data) { ref.crypt(data.data(), data.size()); });
-    put(metrics, "chacha20_mb_per_sec", fast_mbs);
-    put(metrics, "chacha20_reference_mb_per_sec", ref_mbs);
-    put(metrics, "chacha20_speedup", fast_mbs / ref_mbs);
-    std::printf("chacha20   : %8.1f MB/s, per-byte reference %8.1f MB/s "
-                "-> %.2fx\n",
-                fast_mbs, ref_mbs, fast_mbs / ref_mbs);
+    const auto rates = time_reps(
+        reps, rep_s,
+        {calls(16, mb,
+               [&] {
+                 fast.crypt(buf);
+                 return buf[0];
+               }),
+         calls(16, mb, [&] {
+           ref.crypt(buf.data(), buf.size());
+           return buf[0];
+         })});
+    report(metrics, "chacha20_mb_per_sec", rates[0]);
+    report(metrics, "chacha20_reference_mb_per_sec", rates[1]);
+    report(metrics, "chacha20_speedup", ratios(rates[0], rates[1]));
   }
 
   // ---- SHA-256 ----
   {
-    const double min_s = quick ? 0.08 : 0.4;
-    util::Bytes buf(16384, 0x3c);
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-      std::uint64_t bytes = 0;
-      const double t0 = now_s();
-      double elapsed = 0.0;
-      std::uint8_t sink = 0;
-      do {
-        for (int chunk = 0; chunk < 16; ++chunk) {
-          sink ^= crypto::Sha256::hash(buf)[0];
-          bytes += buf.size();
-        }
-        elapsed = now_s() - t0;
-      } while (elapsed < min_s);
-      buf[0] ^= sink;  // keep the digests observable
-      best = std::max(best, static_cast<double>(bytes) / 1e6 / elapsed);
-    }
-    put(metrics, "sha256_mb_per_sec", best);
-    std::printf("sha256     : %8.1f MB/s\n", best);
+    const util::Bytes buf(16384, 0x3c);
+    const double mb = static_cast<double>(buf.size()) / 1e6;
+    report(metrics, "sha256_mb_per_sec",
+           time_reps(reps, rep_s, {calls(16, mb, [&] {
+                       return crypto::Sha256::hash(buf)[0];
+                     })})[0]);
   }
 
   // ---- transport ----
   {
     const std::uint64_t limit = quick ? 100000 : 1000000;
-    double best = 0.0;
     double reuse_fraction = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
+    const auto run = [&] {
       sim::Simulator sim;
       net::SimTransport transport(sim, 7);
       constexpr std::size_t kNodes = 16;
@@ -690,40 +749,148 @@ int main(int argc, char** argv) {
         reuse_fraction =
             static_cast<double>(reused) / static_cast<double>(acquired);
       }
-      best = std::max(best, static_cast<double>(delivered) / elapsed);
-    }
-    put(metrics, "transport_packets_per_sec", best);
+      return Tally{elapsed, static_cast<double>(delivered)};
+    };
+    report(metrics, "transport_packets_per_sec",
+           time_reps(reps, rep_s, {run})[0]);
     put(metrics, "transport_pool_reuse_fraction", reuse_fraction);
-    std::printf("transport  : %11.0f packets/s (pool reuse %.3f)\n", best,
+    std::printf("  %-34s %14.4f\n", "transport_pool_reuse_fraction",
                 reuse_fraction);
   }
 
   // ---- end-to-end 49-node testbed ----
   {
     const double duration_s = quick ? 10.0 : 60.0;
-    testbed::TestbedConfig config;
-    config.server_seed_bytes = 1 << 20;
-    testbed::World world(config);
-    world.register_edges();
-    testbed::WorkloadDriver driver(world, config.seed + 1);
-    const util::SimTime t_end = util::from_seconds(duration_s);
-    for (std::size_t i = 0; i < world.num_clients(); ++i) {
-      driver.drive(i, testbed::ClientBehavior::for_profile(world.profile_of(i)),
-                   0, t_end);
-    }
-    const double t0 = now_s();
-    world.simulator().run_until(t_end + util::from_seconds(10));
-    world.simulator().run();
-    const double elapsed = now_s() - t0;
-    const double events =
-        static_cast<double>(world.simulator().events_executed());
-    put(metrics, "e2e_49node_wall_seconds", elapsed);
+    double events = 0.0;  // the same every world: one seed
+    const auto run = [&] {
+      testbed::TestbedConfig config;
+      config.server_seed_bytes = 1 << 20;
+      testbed::World world(config);
+      world.register_edges();
+      testbed::WorkloadDriver driver(world, config.seed + 1);
+      const util::SimTime t_end = util::from_seconds(duration_s);
+      for (std::size_t i = 0; i < world.num_clients(); ++i) {
+        driver.drive(i,
+                     testbed::ClientBehavior::for_profile(world.profile_of(i)),
+                     0, t_end);
+      }
+      const double t0 = now_s();
+      world.simulator().run_until(t_end + util::from_seconds(10));
+      world.simulator().run();
+      events = static_cast<double>(world.simulator().events_executed());
+      return Tally{now_s() - t0, events};
+    };
+    const std::vector<double> rates = time_reps(reps, rep_s, {run})[0];
+    report(metrics, "e2e_49node_wall_seconds",
+           each(rates, [&](double rate) { return events / rate; }));
     put(metrics, "e2e_49node_sim_seconds", duration_s);
     put(metrics, "e2e_49node_events", events);
-    put(metrics, "e2e_49node_events_per_sec", events / elapsed);
-    std::printf("49-node e2e: %.3f s wall for %.0f simulated s "
-                "(%.0f events, %11.0f events/s)\n",
-                elapsed, duration_s, events, events / elapsed);
+    report(metrics, "e2e_49node_events_per_sec", rates);
+  }
+
+  // ---- HDR histogram: record throughput + quantile accuracy ----
+  {
+    const std::size_t n = quick ? 200000 : 1000000;
+    util::Xoshiro256 rng(0x11d5ULL);
+    std::vector<double> samples;
+    samples.reserve(n);
+    // Heavy-tailed mixture spanning the sub-ms body and a multi-ms tail —
+    // the regime where the old 10-bucket table collapsed every tail
+    // quantile into one bucket.
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool tail = (rng() & 0x1f) == 0;  // 1/32 slow path
+      samples.push_back(rng.exponential(tail ? 0.25 : 0.002));
+    }
+    double hdr_p99 = 0.0;
+    const auto run = [&] {
+      obs::HdrHistogram hdr;
+      const double t0 = now_s();
+      for (const double s : samples) hdr.record(s);
+      const double seconds = now_s() - t0;
+      hdr_p99 = hdr.quantile(0.99);
+      return Tally{seconds, static_cast<double>(n)};
+    };
+    report(metrics, "hdr_record_ops_per_sec",
+           time_reps(reps, rep_s, {run})[0]);
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    const auto exact = [&](double q) {
+      return sorted[static_cast<std::size_t>(
+          q * static_cast<double>(n - 1))];
+    };
+    const double exact_p99 = exact(0.99);
+    const double p99_err = std::fabs(hdr_p99 - exact_p99) / exact_p99;
+    put(metrics, "hdr_p99_seconds", hdr_p99);
+    put(metrics, "hdr_exact_p99_seconds", exact_p99);
+    put(metrics, "hdr_p99_rel_error", p99_err);
+    std::printf("hdr        : p99 %.6f vs exact %.6f (err %.2f%%)\n", hdr_p99,
+                exact_p99, 100.0 * p99_err);
+  }
+
+  // ---- protocol operations the simulator charges cycles for ----
+  // Each kernel prices one constant in src/cadet/config.h, at the payload
+  // sizes the testbed runs.
+  {
+    const auto kernel = [&](const std::string& key, int batch, auto call) {
+      report(metrics, key,
+             time_reps(reps, rep_s, {calls(batch, 1.0, call)})[0]);
+    };
+    util::Xoshiro256 rng(0x0b5eULL);
+    crypto::Csprng csprng(std::uint64_t{4});
+
+    // kCraftPacket + kProcessPacket: a 64 B data upload.
+    const util::Bytes upload = rng.bytes(64);
+    kernel("packet_encode_decode_64b_per_sec", 256, [&] {
+      const auto packet = decode(encode(Packet::data_upload(upload, false)));
+      return packet ? packet->payload[0] : std::uint8_t{0};
+    });
+
+    // kSanityPerByte: a client's 32 B upload at the edge, an edge's 1 KiB
+    // bulk upload at the server.
+    const nist::SanityBattery sanity;
+    for (const std::size_t bytes : {std::size_t{32}, std::size_t{1024}}) {
+      const util::Bytes payload = rng.bytes(bytes);
+      const util::Bytes previous = rng.bytes(bytes);
+      kernel("sanity_battery_" + std::to_string(bytes) + "b_per_sec", 4, [&] {
+        return static_cast<std::uint8_t>(
+            sanity.run(payload, previous).passed());
+      });
+    }
+
+    // kServerMixPerByte: a 1 KiB bulk upload folded into a full 1 MiB pool.
+    entropy::ServerEntropyPool pool(1 << 20);
+    pool.push(rng.bytes(1 << 20));
+    entropy::YarrowMixer mixer(pool);
+    const util::Bytes bulk = rng.bytes(1024);
+    kernel("yarrow_add_input_1024b_per_sec", 4, [&] {
+      mixer.add_input(bulk);
+      return static_cast<std::uint8_t>(mixer.folds_performed());
+    });
+
+    // kX25519: one scalar multiplication.
+    const crypto::X25519KeyPair a = make_keypair(csprng);
+    const crypto::X25519KeyPair b = make_keypair(csprng);
+    kernel("x25519_shared_secret_per_sec", 4,
+           [&] { return a.shared_secret(b.public_key)[0]; });
+
+    // kSealPerByte: seal + open of a 64 B reply and a 4 KiB refill.
+    const util::Bytes key = rng.bytes(32);
+    for (const std::size_t bytes : {std::size_t{64}, std::size_t{4096}}) {
+      const util::Bytes plaintext = rng.bytes(bytes);
+      kernel("seal_open_" + std::to_string(bytes) + "b_per_sec", 4, [&] {
+        const auto opened =
+            cadet::open(key, cadet::seal(key, plaintext, csprng));
+        return opened ? (*opened)[0] : std::uint8_t{0};
+      });
+    }
+
+    // kQualityPerByte: the server's quality battery on a 50,000-bit pool
+    // snapshot.
+    const nist::QualityBattery quality;
+    const util::Bytes snapshot = rng.bytes(6250);
+    kernel("quality_battery_50000bit_per_sec", 1, [&] {
+      return static_cast<std::uint8_t>(quality.run(snapshot, 50000).passed());
+    });
   }
 
   // ---- span tracing overhead ----
@@ -760,42 +927,6 @@ int main(int argc, char** argv) {
                 o.off, o.on);
     print_overhead(o);
     std::printf("\n");
-  }
-
-  // ---- HDR histogram: record throughput + quantile accuracy ----
-  {
-    const std::size_t n = quick ? 200000 : 1000000;
-    util::Xoshiro256 rng(0x11d5ULL);
-    std::vector<double> samples;
-    samples.reserve(n);
-    // Heavy-tailed mixture spanning the sub-ms body and a multi-ms tail —
-    // the regime where the old 10-bucket table collapsed every tail
-    // quantile into one bucket.
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool tail = (rng() & 0x1f) == 0;  // 1/32 slow path
-      samples.push_back(rng.exponential(tail ? 0.25 : 0.002));
-    }
-    obs::HdrHistogram hdr;
-    const double t0 = now_s();
-    for (const double s : samples) hdr.record(s);
-    const double record_ops =
-        static_cast<double>(n) / (now_s() - t0);
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const auto exact = [&](double q) {
-      return sorted[static_cast<std::size_t>(
-          q * static_cast<double>(n - 1))];
-    };
-    const double exact_p99 = exact(0.99);
-    const double hdr_p99 = hdr.quantile(0.99);
-    const double p99_err = std::fabs(hdr_p99 - exact_p99) / exact_p99;
-    put(metrics, "hdr_record_ops_per_sec", record_ops);
-    put(metrics, "hdr_p99_seconds", hdr_p99);
-    put(metrics, "hdr_exact_p99_seconds", exact_p99);
-    put(metrics, "hdr_p99_rel_error", p99_err);
-    std::printf("hdr        : %11.0f records/s, p99 %.6f vs exact %.6f "
-                "(err %.2f%%)\n",
-                record_ops, hdr_p99, exact_p99, 100.0 * p99_err);
   }
 
   // ---- trace ring overhead ----
@@ -888,13 +1019,11 @@ int main(int argc, char** argv) {
     cfg.flooder_fraction = 0.002;
     cfg.bad_uploader_fraction = 0.05;
 
-    // Observability-overhead ladder over the same seeded run:
-    //   A  plane disabled (enable_obs(false)) — the naked simulation;
-    //   B  plane enabled, tracing off — shipping default, gated < 5% of A
-    //      on the median of interleaved A/B pairs;
-    //   C  tracing on into a sinkless ring — worst-case absorb cost,
-    //      informational (tracing is opt-in via --trace-out).
-    // The run is deterministic, so every run must execute the same events.
+    // Observability overhead over the same seeded run: the plane enabled
+    // with tracing off (the shipping default) against the plane disabled
+    // (enable_obs(false), the naked simulation), gated < 5% on the median
+    // of interleaved off/on pairs. The run is deterministic, so every run
+    // must execute the same events.
     // Every run is single-threaded: the plane's cost is per event, and on a
     // shared 4-vCPU VM the pooled runs' window barriers, waiting on a
     // descheduled worker, moved the plane reading from -4% to +7% between
@@ -909,9 +1038,7 @@ int main(int argc, char** argv) {
       world.enable_obs(on);
       const double t0 = now_s();
       const std::uint64_t executed = world.run();
-      Tally tally;
-      tally.seconds = now_s() - t0;
-      tally.events = static_cast<double>(executed);
+      const Tally tally{now_s() - t0, static_cast<double>(executed)};
       if (events == 0) events = executed;
       diverged = diverged || executed != events;
       if (on) {  // the footprint of the shipping configuration
@@ -926,25 +1053,11 @@ int main(int argc, char** argv) {
     const double eps_off = plane.off;
     const double eps = plane.on;
 
-    std::uint64_t events_traced = 0;
-    double eps_traced = 0.0;
-    {
-      obs::Tracer ring;  // no sink: bounded ring, every fold absorbed
-      ring.enable(true);
-      testbed::ScaleWorld traced(cfg);
-      traced.set_tracer(&ring);
-      traced.enable_tracing(true);
-      const double t1 = now_s();
-      events_traced = traced.run();
-      eps_traced = static_cast<double>(events_traced) / (now_s() - t1);
-    }
-    if (diverged || events_traced != events) {
+    if (diverged) {
       std::fprintf(stderr,
-                   "FATAL: observability changed the simulation "
-                   "(%llu events, %llu traced; plane off/on runs %s)\n",
-                   static_cast<unsigned long long>(events),
-                   static_cast<unsigned long long>(events_traced),
-                   diverged ? "differ" : "agree");
+                   "FATAL: the obs plane changed the simulation (plane "
+                   "off/on runs differ from %llu events)\n",
+                   static_cast<unsigned long long>(events));
       return 3;
     }
 
@@ -954,9 +1067,6 @@ int main(int argc, char** argv) {
     put(metrics, "scale_events_per_sec", eps);
     put(metrics, "scale_obs_off_events_per_sec", eps_off);
     put(metrics, "scale_obs_overhead_fraction", plane.median);
-    put(metrics, "scale_tracing_events_per_sec", eps_traced);
-    put(metrics, "scale_tracing_overhead_fraction",
-        1.0 - eps_traced / eps_off);
     put(metrics, "scale_bytes_per_client", bytes_per_client);
     put(metrics, "scale_legacy_bytes_per_client", legacy_bytes_per_client);
     if (legacy_bytes_per_client > 0.0) {
@@ -976,8 +1086,7 @@ int main(int argc, char** argv) {
     std::printf("scale obs  : %11.0f events/s plane off, %11.0f on ",
                 eps_off, eps);
     print_overhead(plane);
-    std::printf(", %11.0f tracing (%+.1f%%)\n", eps_traced,
-                100.0 * (1.0 - eps_traced / eps_off));
+    std::printf("\n");
   }
 
   if (!out_path.empty()) {
@@ -1072,7 +1181,6 @@ int main(int argc, char** argv) {
     // The always-on sharded obs plane (tracing off — the shipping default)
     // must cost under 5% of the naked simulation's event rate. Absolute,
     // like the span gate: the budget does not move with the machine.
-    // Tracing overhead is informational only (opt-in via --trace-out).
     if (get(metrics, "scale_obs_off_events_per_sec") > 0.0 &&
         get(metrics, "scale_obs_overhead_fraction") >= 0.05) {
       std::fprintf(stderr,

@@ -1,6 +1,6 @@
-// Single CSV emitter shared by the figure benches, the metrics exporters,
-// and the tools — replacing the per-bench hand-rolled writers. Header-only
-// so the benches can use it without linking cadet_obs.
+// Single CSV emitter shared by the figure benches' --csv output, replacing
+// the per-bench hand-rolled writers. Header-only so the benches can use it
+// without linking cadet_obs.
 //
 // Escaping follows RFC 4180 (what scripts/plot_figures.py's csv.reader
 // expects): fields containing a comma, quote, CR, or LF are double-quoted

@@ -315,6 +315,10 @@ bool parse(int argc, char** argv, Options& opt) {
     std::fprintf(stderr, "networks, clients, servers, duration must be > 0\n");
     return false;
   }
+  if (opt.clients_per_edge == 0) {
+    std::fprintf(stderr, "--clients-per-edge must be > 0\n");
+    return false;
+  }
   if (!opt.adversary_mix.empty()) {
     if (opt.adversary_mix != "free-riders" && opt.adversary_mix != "poisoners" &&
         opt.adversary_mix != "cache-inflation" &&

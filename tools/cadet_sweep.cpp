@@ -22,7 +22,6 @@
 //   cadet_sweep --seeds 50 -j 8
 //   cadet_sweep --seeds 100:120 --horizon 30 --json sweep.json
 //   cadet_sweep --adversary --seeds 50 -j 8
-//   cadet_sweep --scale --scale-clients 20000   # -j determinism sweep
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -30,8 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,11 +36,8 @@
 
 #include "adversary_harness.h"
 #include "chaos_harness.h"
-#include "obs/export.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "testbed/scale.h"
-#include "util/task_pool.h"
 #include "util/time.h"
 
 namespace {
@@ -60,13 +54,6 @@ struct Options {
   std::string trace_out;  // single-seed span trace (forces one seed, -j 1)
   bool quiet = false;
   bool adversary = false;  // hostile-client mixes instead of network chaos
-
-  // --scale: instead of sweeping seeds, sweep WORKER COUNTS over one
-  // sharded ScaleWorld run and assert the traces are byte-identical — the
-  // executable witness that the partition is topology-fixed and the merge
-  // queue's {time, seq, shard} order erases scheduling nondeterminism.
-  bool scale = false;
-  std::size_t scale_clients = 20'000;
 };
 
 struct SeedResult {
@@ -101,10 +88,6 @@ void usage(const char* argv0) {
       "  --adversary         sweep hostile-client mixes (rotating per seed)\n"
       "                      against the defense invariants instead of\n"
       "                      network chaos (docs/ADVERSARIES.md)\n"
-      "  --scale             sweep -j in {1,2,4,8} over ONE sharded\n"
-      "                      ScaleWorld run (seed = first --seeds value)\n"
-      "                      and fail unless all traces are byte-identical\n"
-      "  --scale-clients N   --scale population (default 20000)\n"
       "  --quiet             summary only\n",
       argv0);
 }
@@ -141,10 +124,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.trace_out = next();
     } else if (arg == "--adversary") {
       opt.adversary = true;
-    } else if (arg == "--scale") {
-      opt.scale = true;
-    } else if (arg == "--scale-clients") {
-      opt.scale_clients = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -267,89 +246,6 @@ SeedResult run_adversary_seed(std::uint64_t seed, double horizon_s) {
   return out;
 }
 
-// --scale: same seed, same config, worker counts 1/2/4/8 — every run must
-// produce the same trace checksum and event count, AND byte-identical
-// observability exports (the Prometheus metrics snapshot and the folded
-// JSONL event trace). A mismatch is a determinism regression in the
-// sharded path (lookahead too short, state shared across shards, an order
-// dependence in the barrier, or a fold that leaks worker scheduling).
-int run_scale_sweep(const Options& opt) {
-  ScaleConfig config;
-  config.seed = opt.seed_begin != 0 ? opt.seed_begin : 42;
-  config.num_clients = opt.scale_clients;
-  config.clients_per_edge = 512;
-  config.duration_s = opt.horizon_s > 0.0 ? opt.horizon_s : 2.0;
-  // Keep the faulty/hostile machinery in the determinism witness: a path
-  // that is only deterministic when nothing goes wrong proves little.
-  config.drop_prob = 0.02;
-  config.flooder_fraction = 0.005;
-  config.bad_uploader_fraction = 0.1;
-
-  static constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
-  std::uint64_t reference_checksum = 0;
-  std::uint64_t reference_events = 0;
-  std::string reference_metrics;
-  std::string reference_trace;
-  bool identical = true;
-  for (std::size_t n = 0; n < std::size(kWorkerCounts); ++n) {
-    const std::size_t workers = kWorkerCounts[n];
-    ScaleWorld world(config);
-    // Fresh per-run obs state: a registry for the metrics export and a
-    // memory-sinked tracer for the folded event trace, serialized to the
-    // same bytes --metrics-out/--trace-out would write.
-    obs::Registry registry;
-    obs::MemorySink sink;
-    obs::Tracer tracer;
-    tracer.set_sink(&sink);
-    tracer.enable();
-    world.set_tracer(&tracer);
-    world.enable_tracing(true);
-    util::TaskPool pool(workers);
-    const auto wall_start = std::chrono::steady_clock::now();
-    const std::uint64_t events = world.run(
-        [&pool](std::size_t count,
-                const std::function<void(std::size_t)>& task) {
-          pool.run(count, task);
-        });
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    world.publish_metrics(registry);
-    const std::uint64_t checksum = world.checksum();
-    std::string metrics = obs::to_prometheus(registry);
-    std::string trace;
-    for (const obs::TraceEvent& event : sink.events()) {
-      trace += obs::to_json(event);
-      trace += '\n';
-    }
-    if (n == 0) {
-      reference_checksum = checksum;
-      reference_events = events;
-      reference_metrics = std::move(metrics);
-      reference_trace = std::move(trace);
-    }
-    const bool match = checksum == reference_checksum &&
-                       events == reference_events &&
-                       (n == 0 || (metrics == reference_metrics &&
-                                   trace == reference_trace));
-    identical = identical && match;
-    if (!opt.quiet || !match) {
-      std::printf("-j%zu: %llu events, checksum %016llx, %.2f s wall%s\n",
-                  workers, static_cast<unsigned long long>(events),
-                  static_cast<unsigned long long>(checksum), wall_s,
-                  match ? "" : "  MISMATCH");
-    }
-  }
-  std::printf(
-      "scale determinism sweep (%zu clients, seed %llu): %s\n",
-      config.num_clients, static_cast<unsigned long long>(config.seed),
-      identical
-          ? "all worker counts byte-identical (checksum, metrics, trace)"
-          : "TRACES DIVERGED");
-  return identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -358,7 +254,6 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (opt.scale) return run_scale_sweep(opt);
   const std::size_t count =
       static_cast<std::size_t>(opt.seed_end - opt.seed_begin);
   std::size_t jobs = opt.jobs != 0
